@@ -5,9 +5,10 @@
  * (harness/bakeoff.hpp) and prints the scorecard, optionally writing
  * CSV/JSONL artifacts.
  *
- * The full matrix sweeps 4 policies × 3 buffer variants × 2 load mixes
- * × 3 harvest scenarios; `--smoke` trims every dimension to 2 for a
- * fast CI leg. `--csv PATH` / `--jsonl PATH` write the artifacts.
+ * The full matrix sweeps 5 policies × 3 buffer variants × 2 load mixes
+ * × 3 harvest scenarios (90 cells, run in parallel on the shared pool);
+ * `--smoke` trims every dimension to 2 for a fast CI leg. `--csv PATH`
+ * / `--jsonl PATH` write the artifacts.
  */
 
 #include <cstdio>

@@ -12,8 +12,10 @@
  * Stationary policies run each cell through the batch sweep executor
  * in exact-replay mode (bit-identical, reproducible scorecards);
  * online-adapting policies run the scalar serial path, carrying their
- * learned state across a cell's trials. Cells execute serially — each
- * is internally parallel — so nested pool fan-out never oversubscribes.
+ * learned state across a cell's trials. Cells run in parallel on the
+ * shared pool; each cell's inner trial sweep is a nested region and
+ * runs inline on its worker, so the pool never oversubscribes and the
+ * scorecard is byte-identical at any pool size.
  *
  * Like the batch trial sources, bakeoff.cpp compiles into culpeo_sched
  * (it drives sched:: entry points) while the interface lives here.

@@ -32,7 +32,13 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "culpeo_trace_test.csv";
+        // One file per test: ctest -j runs each case as its own
+        // process, so a shared name races.
+        path_ = ::testing::TempDir() + "culpeo_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".csv";
     }
 
     void

@@ -42,7 +42,13 @@ class CsvTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "culpeo_csv_test.csv";
+        // One file per test: ctest -j runs each case as its own
+        // process, so a shared name races.
+        path_ = ::testing::TempDir() + "culpeo_csv_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".csv";
     }
 
     void
