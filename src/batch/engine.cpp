@@ -147,7 +147,11 @@ struct LaneRt
         system.setHarvester(hsrc);
         const std::optional<Watts> cp = hsrc->constantPower();
         harvest_const = cp.has_value();
-        harvest_w = harvest_const ? cp->value() : 0.0;
+        if (harvest_const) {
+            piece = sim::HarvestPiece{
+                -std::numeric_limits<double>::infinity(),
+                std::numeric_limits<double>::infinity(), cp->value()};
+        }
 
         const sim::TwoBranchCoefficients k =
             system.capacitor().analyticCoefficients();
@@ -194,10 +198,11 @@ struct LaneRt
     const sim::Harvester *hsrc = nullptr;
     /** Strictly constant harvest (equilibrium wait tests are sound). */
     bool harvest_const = true;
-    /** Harvest power of the current piece (refreshed per macro step). */
-    double harvest_w = 0.0;
-    /** Absolute end of the current constancy piece (inf = constant). */
-    double piece_end = std::numeric_limits<double>::infinity();
+    /**
+     * The harvest piece containing the lane's time (refreshed per
+     * macro step). A constant lane's piece spans all time.
+     */
+    sim::HarvestPiece piece;
 
     // Cached electrical constants (no aging mid-run in batch lanes).
     double tau = 1.0, beta = 0.0, gamma = 0.0;
@@ -331,26 +336,23 @@ struct BatchEngine::Impl
     }
 
     /**
-     * Re-sample a piecewise-constant lane's harvest piece at the
-     * lane's current time — the mirror of the scalar analytic loop
-     * reading powerAt(now_) at every iteration top. Constant lanes
-     * keep their cached harvest_w and infinite piece_end.
+     * Make the lane's cached harvest piece cover its current time —
+     * the mirror of the scalar analytic loop's piece lookup at each
+     * iteration top. The source is read only when the lane has left
+     * the cached piece; a constant lane's piece never expires.
      */
     void refreshHarvest(LaneRt &rt, std::size_t l) const
     {
-        if (rt.harvest_const)
-            return;
-        rt.harvest_w = rt.hsrc->powerAt(Seconds(now[l])).value();
-        rt.piece_end = rt.hsrc->constantUntil(Seconds(now[l])).value();
+        rt.piece.seek(*rt.hsrc, now[l]);
     }
 
-    /** InputBooster::chargeCurrent under the lane's constant harvest. */
+    /** InputBooster::chargeCurrent under the lane's cached harvest piece. */
     double chargeAt(const LaneRt &rt, double voc) const
     {
-        if (rt.harvest_w <= 0.0 || voc >= rt.in_vhigh)
+        if (rt.piece.watts <= 0.0 || voc >= rt.in_vhigh)
             return 0.0;
         const double denom = std::max(voc, 0.1);
-        return std::min(rt.in_eff * rt.harvest_w / denom, rt.in_max);
+        return std::min(rt.in_eff * rt.piece.watts / denom, rt.in_max);
     }
 
     /** PowerSystem::idleNetCurrentAt at an equalized probe voltage. */
@@ -874,7 +876,7 @@ struct BatchEngine::Impl
         // step never spans a harvest-piece boundary (scalar stepper's
         // cap, same expression order).
         double dt_try = std::min(sg.remaining, sg.hint);
-        const double piece_left = rt.piece_end - now[l];
+        const double piece_left = rt.piece.end - now[l];
         if (piece_left < dt_try)
             dt_try = piece_left;
         double net1 = net0;

@@ -37,23 +37,29 @@ cellOf(double coord, double cell_size)
     return static_cast<std::int64_t>(std::floor(coord / cell_size));
 }
 
-/** Piece index containing t, and its end on the sample grid. */
+/**
+ * Index k of the sample-grid piece containing t, exact against the
+ * grid as pieceEnd reports it: double(k) * period <= t <
+ * double(k + 1) * period. floor(t / period) alone can land one piece
+ * off near a boundary of a non-dyadic period (0.1 s), which would put
+ * a time just below a reported end in the next piece's power.
+ */
 std::int64_t
 pieceOf(double t, double period)
 {
-    return static_cast<std::int64_t>(std::floor(t / period));
+    auto k = static_cast<std::int64_t>(std::floor(t / period));
+    while (double(k) * period > t)
+        --k;
+    while (double(k + 1) * period <= t)
+        ++k;
+    return k;
 }
 
-/**
- * End of the sample-grid piece containing t, strictly greater than t
- * (the HarvestField contract): a boundary landing at or below t from
- * floating rounding advances one full piece.
- */
+/** End of the sample-grid piece containing t (strictly past t). */
 double
 pieceEnd(double t, double period)
 {
-    const double end = double(pieceOf(t, period) + 1) * period;
-    return end > t ? end : end + period;
+    return double(pieceOf(t, period) + 1) * period;
 }
 
 } // namespace

@@ -71,6 +71,38 @@ class Harvester
     }
 };
 
+/**
+ * Cache of the constancy piece a piecewise-constant source was last
+ * read in: the power on [t0, end), where t0 is the time of that read
+ * and end its constantUntil. seek() goes back to the source only when
+ * the time leaves the piece, so a stepper that samples the harvest at
+ * every iteration pays one powerAt/constantUntil pair per piece. The
+ * cached values equal a fresh read because the piecewise-constant
+ * contract holds powerAt and constantUntil fixed across the piece.
+ * Time that moves backwards fails t >= t0 and refills. Only for
+ * sources with piecewiseConstant(): any other source reports a
+ * zero-length piece and would refill on every seek.
+ */
+struct HarvestPiece
+{
+    /** Start of the cached span (+inf = empty, every seek refills). */
+    double t0 = std::numeric_limits<double>::infinity();
+    /** End of the piece (inf for a strictly constant source). */
+    double end = 0.0;
+    /** Harvest power on [t0, end). */
+    double watts = 0.0;
+
+    /** Make the cache cover @p t, reading @p source only on a miss. */
+    void seek(const Harvester &source, double t)
+    {
+        if (t >= t0 && t < end)
+            return;
+        watts = source.powerAt(Seconds(t)).value();
+        end = source.constantUntil(Seconds(t)).value();
+        t0 = t;
+    }
+};
+
 /** Constant harvestable power (the paper's evaluation condition). */
 class ConstantHarvester : public Harvester
 {

@@ -85,9 +85,7 @@ PowerSystem::step(Seconds dt, Amps i_load)
         result.delivering = !draw.collapsed && i_load.value() > 0.0;
     }
 
-    const Watts harvested = harvester_ != nullptr
-        ? harvester_->powerAt(now_) * faults.harvest_scale
-        : Watts(0.0);
+    const Watts harvested = Watts(harvestNow()) * faults.harvest_scale;
     const Amps i_charge =
         input_.chargeCurrent(harvested, cap_.openCircuitVoltage());
 
@@ -114,6 +112,17 @@ PowerSystem::step(Seconds dt, Amps i_load)
     if (observer_ != nullptr)
         observer_->onStep(result);
     return result;
+}
+
+double
+PowerSystem::harvestNow() const
+{
+    if (harvester_ == nullptr)
+        return 0.0;
+    if (!piecewise_)
+        return harvester_->powerAt(now_).value();
+    piece_.seek(*harvester_, now_.value());
+    return piece_.watts;
 }
 
 bool
@@ -229,16 +238,14 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
             break;
         const bool enabled = monitor_.enabled();
 
-        // Harvest of the constancy piece containing now_ (piecewise-
-        // constant sources re-read it every iteration; for a strictly
-        // constant source this is the same value each time). Macro
-        // steps below are capped at the piece boundary so the constant-
-        // harvest regime assumption holds over every committed step.
-        const Watts harvest = harvester_ != nullptr
-            ? harvester_->powerAt(now_)
-            : Watts(0.0);
+        // Harvest of the constancy piece containing now_, from the
+        // piece cache (the source is read again only once now_ leaves
+        // the piece). Macro steps below are capped at the piece
+        // boundary so the constant-harvest regime assumption holds
+        // over every committed step.
+        const Watts harvest = Watts(harvestNow());
         const double piece_left = harvester_ != nullptr
-            ? harvester_->constantUntil(now_).value() - now_.value()
+            ? piece_.end - now_.value()
             : std::numeric_limits<double>::infinity();
 
         // Net buffer current of the current regime (as step() would
@@ -421,11 +428,9 @@ PowerSystem::recharge(Seconds dt, Seconds deadline)
         // Harvest and piece of the current constancy interval: the
         // chunk estimate below assumes a constant charge rate, so a
         // chunk may not outlive the piece it was computed in.
-        const Watts harvest = harvester_ != nullptr
-            ? harvester_->powerAt(now_)
-            : Watts(0.0);
+        const Watts harvest = Watts(harvestNow());
         const double piece_left = harvester_ != nullptr
-            ? harvester_->constantUntil(now_).value() - now_.value()
+            ? piece_.end - now_.value()
             : std::numeric_limits<double>::infinity();
         Amps i_out{0.0};
         if (monitor_.enabled()) {
@@ -480,10 +485,7 @@ PowerSystem::idleNetCurrentAt(Volts voc, bool with_output_draw) const
         if (!draw.collapsed)
             i_out = draw.input_current;
     }
-    const Watts harvested = harvester_ != nullptr
-        ? harvester_->powerAt(now_)
-        : Watts(0.0);
-    const Amps i_charge = input_.chargeCurrent(harvested, voc);
+    const Amps i_charge = input_.chargeCurrent(Watts(harvestNow()), voc);
     double net = i_out.value() - i_charge.value();
     if (voc.value() > 0.0)
         net += cap_.config().leakage.value();

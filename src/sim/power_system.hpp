@@ -121,8 +121,16 @@ class PowerSystem
   public:
     explicit PowerSystem(PowerSystemConfig config);
 
-    /** Select the energy source; nullptr means no incoming power. */
-    void setHarvester(const Harvester *harvester) { harvester_ = harvester; }
+    /**
+     * Select the energy source; nullptr means no incoming power. Clears
+     * the harvest-piece cache.
+     */
+    void setHarvester(const Harvester *harvester)
+    {
+        harvester_ = harvester;
+        piecewise_ = harvester != nullptr && harvester->piecewiseConstant();
+        piece_ = HarvestPiece{};
+    }
 
     /** The attached energy source (nullptr = no incoming power). */
     const Harvester *harvester() const { return harvester_; }
@@ -265,6 +273,12 @@ class PowerSystem
      */
     void analyticEventStep(SegmentResult &result, Amps i_load,
                            Seconds fallback_dt, double &remaining);
+    /**
+     * Harvest power at now_ (0 W without a source). Piecewise-constant
+     * sources answer from piece_, which this refreshes when now_ has
+     * left the cached piece; other sources are sampled directly.
+     */
+    double harvestNow() const;
 
     PowerSystemConfig config_;
     Capacitor cap_;
@@ -272,6 +286,15 @@ class PowerSystem
     InputBooster input_;
     VoltageMonitor monitor_;
     const Harvester *harvester_ = nullptr;
+    /** harvester_->piecewiseConstant(), read once in setHarvester. */
+    bool piecewise_ = false;
+    /**
+     * The harvest piece containing now_, for piecewise-constant
+     * sources. Mutable so the const idleNetCurrentAt can refresh it;
+     * a PowerSystem belongs to one device and is not shared across
+     * threads.
+     */
+    mutable HarvestPiece piece_;
     FaultHooks *hooks_ = nullptr;
     StepObserver *observer_ = nullptr;
     Seconds now_{0.0};

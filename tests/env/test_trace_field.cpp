@@ -30,6 +30,7 @@
 #include "sched/policy.hpp"
 #include "sched/trial.hpp"
 #include "sim/power_system.hpp"
+#include "support/temp_path.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -51,7 +52,7 @@ baseSeed()
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTempPath(name);
 }
 
 env::SolarConfig
@@ -111,6 +112,19 @@ TEST(TraceFieldContract, HoldsEachSampleOverItsInterval)
     EXPECT_TRUE(
         std::isinf(field.constantUntil(pos, Seconds(7.0)).value()));
     EXPECT_DOUBLE_EQ(field.endTime().value(), 7.0);
+
+    // Piece-stable up to the last double below each boundary: power
+    // and boundary are the piece's own (what a piece cache relies on).
+    const double starts[] = {-5.0, 1.0, 2.5};
+    const double ends[] = {1.0, 2.5, 7.0};
+    for (int i = 0; i < 3; ++i) {
+        const double last = std::nextafter(ends[i], starts[i]);
+        EXPECT_EQ(field.powerAt(pos, Seconds(last)).value(),
+                  field.powerAt(pos, Seconds(starts[i])).value());
+        EXPECT_EQ(field.constantUntil(pos, Seconds(last)).value(),
+                  field.constantUntil(pos, Seconds(starts[i])).value());
+        EXPECT_EQ(field.constantUntil(pos, Seconds(last)).value(), ends[i]);
+    }
 
     // Power varies, so there is no constant-power fast path.
     EXPECT_FALSE(field.constantPower(pos).has_value());

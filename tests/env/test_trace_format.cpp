@@ -25,6 +25,7 @@
 
 #include "env/trace.hpp"
 #include "env/trace_reader.hpp"
+#include "support/temp_path.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -41,7 +42,7 @@ tracesDir()
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testsupport::uniqueTempPath(name);
 }
 
 /** The one deterministic series every fixture derives from. */

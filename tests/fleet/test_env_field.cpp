@@ -62,26 +62,62 @@ TEST(UniformField, ConstantEverywhereForever)
     EXPECT_EQ(field.constantPower({1.0, 2.0})->value(), 2e-3);
 }
 
+/**
+ * Walk @p field's pieces at @p pos from t = 0 to @p horizon and check
+ * the piece-stable contract on each: the boundary is strictly past t,
+ * powerAt is the piece's value at the midpoint, at 0.999 of the piece
+ * and at the last double below the boundary, and constantUntil reports
+ * the same boundary from anywhere inside the piece (what a piece cache
+ * relies on). Returns the number of pieces walked.
+ */
+int
+checkPieceStable(const env::HarvestField &field, env::Position pos,
+                 double horizon, int max_pieces)
+{
+    double t = 0.0;
+    int pieces = 0;
+    while (t < horizon && pieces < max_pieces) {
+        const double end = field.constantUntil(pos, Seconds(t)).value();
+        EXPECT_GT(end, t) << "piece boundary must be strictly past t";
+        if (!(end > t))
+            break;
+        const double power = field.powerAt(pos, Seconds(t)).value();
+        const double mid = t + 0.5 * (end - t);
+        const double late = t + 0.999 * (end - t);
+        const double last = std::nextafter(end, t);
+        EXPECT_EQ(field.powerAt(pos, Seconds(mid)).value(), power);
+        EXPECT_EQ(field.powerAt(pos, Seconds(late)).value(), power);
+        EXPECT_EQ(field.powerAt(pos, Seconds(last)).value(), power)
+            << "power left the piece before its end " << end;
+        EXPECT_EQ(field.constantUntil(pos, Seconds(mid)).value(), end);
+        EXPECT_EQ(field.constantUntil(pos, Seconds(last)).value(), end)
+            << "piece end moved inside the piece ending at " << end;
+        if (::testing::Test::HasFailure())
+            break;
+        t = end;
+        ++pieces;
+    }
+    return pieces;
+}
+
 TEST(SolarField, PiecewiseConstantContract)
 {
     const env::SolarDiurnalField field(testSolar());
     const env::Position pos{12.0, 33.0};
-    double t = 0.0;
-    int pieces = 0;
-    while (t < 360.0 && pieces < 10000) {
-        const double end = field.constantUntil(pos, Seconds(t)).value();
-        ASSERT_GT(end, t) << "piece boundary must be strictly past t";
-        const double power = field.powerAt(pos, Seconds(t)).value();
-        // Constant across the piece: probe the midpoint and just
-        // before the boundary.
-        const double mid = t + 0.5 * (end - t);
-        const double late = t + 0.999 * (end - t);
-        EXPECT_EQ(field.powerAt(pos, Seconds(mid)).value(), power);
-        EXPECT_EQ(field.powerAt(pos, Seconds(late)).value(), power);
-        t = end;
-        ++pieces;
-    }
+    const int pieces = checkPieceStable(field, pos, 360.0, 10000);
     EXPECT_GE(pieces, int(360.0 / testSolar().sample_period.value()) - 1);
+}
+
+TEST(SolarField, PieceStableOnANonDyadicGrid)
+{
+    // A 0.1 s grid is not exact in binary: just below the reported
+    // boundary double(k + 1) * 0.1, floor(t / 0.1) already reads k + 1
+    // at 6,553 of the first 100,000 boundaries (the first is 1.7 s).
+    env::SolarConfig config = testSolar();
+    config.sample_period = Seconds(0.1);
+    const env::SolarDiurnalField field(config);
+    const int pieces = checkPieceStable(field, {12.0, 33.0}, 600.0, 10000);
+    EXPECT_GE(pieces, 5999);
 }
 
 TEST(SolarField, EnvelopeDayAndNight)
@@ -147,6 +183,9 @@ TEST(KineticField, TwoLevelsAtConfiguredRate)
     }
     const double rate = double(bursting) / double(pieces);
     EXPECT_NEAR(rate, config.burst_probability, 0.05);
+
+    // Piece-stable up to the last double below every boundary.
+    EXPECT_GE(checkPieceStable(field, pos, 1000.0, 10000), 3999);
 }
 
 TEST(FieldHarvester, ForwardsTheFieldAtItsPosition)

@@ -187,7 +187,7 @@ TEST(FleetPiecewise, ConstantFieldLaneMatchesPlainHarvestLane)
 {
     // A UniformField view must be bit-identical to the pre-field
     // constant-wattage lane: LaneRt folds a constant harvester into
-    // the same harvest_w scalar the plain path uses.
+    // an all-time harvest piece, as the plain path does its wattage.
     const env::UniformField field(Watts(3e-3));
     Population viewed = randomPopulation(field, baseSeed() + 999, 6);
     Population plain = randomPopulation(field, baseSeed() + 999, 6);

@@ -31,6 +31,7 @@
 #include "sched/policy.hpp"
 #include "sched/supervisor.hpp"
 #include "sched/trial.hpp"
+#include "support/temp_path.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -122,9 +123,8 @@ lifetimeDriftPlan()
 std::string
 recordToDisk(const env::HarvestField &field, std::uint64_t tag)
 {
-    const std::string path = ::testing::TempDir() +
-                             "culpeo_drift_trace_" +
-                             std::to_string(tag) + ".ctrace";
+    const std::string path = testsupport::uniqueTempPath(
+        "drift_trace_" + std::to_string(tag) + ".ctrace");
     const env::TraceData data = env::recordField(
         field, env::Position{}, Seconds(260.0), Hertz(2.0));
     const auto written = env::writeTrace(path, data);

@@ -31,6 +31,7 @@
 #include "env/field.hpp"
 #include "env/trace.hpp"
 #include "env/trace_reader.hpp"
+#include "support/temp_path.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/random.hpp"
 
@@ -77,7 +78,7 @@ pristineBytes(util::Rng &rng)
     env::TraceWriteOptions options;
     options.block_samples = 8 + std::uint32_t(rng.uniformInt(17));
     const std::string path =
-        testing::TempDir() + "trace_fuzz_pristine.ctrace";
+        testsupport::uniqueTempPath("trace_fuzz_pristine.ctrace");
     EXPECT_TRUE(env::writeTrace(path, data, options).ok());
     std::ifstream in(path, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -209,7 +210,7 @@ TEST(TraceFuzz, MutatedFilesAlwaysLandInTheDeclaredRecoveryMode)
     const std::uint64_t iters = fuzzIters();
     util::Rng rng(fuzzSeed());
     const std::string path =
-        testing::TempDir() + "trace_fuzz_mutant.ctrace";
+        testsupport::uniqueTempPath("trace_fuzz_mutant.ctrace");
     const env::RecoveryMode modes[] = {env::RecoveryMode::Strict,
                                        env::RecoveryMode::Clamp,
                                        env::RecoveryMode::Skip};
@@ -288,7 +289,7 @@ TEST(TraceFuzz, SurvivingTracesReplayThroughTraceFieldWithoutFaults)
         fuzzIters() / 5, 20);
     util::Rng rng(fuzzSeed() + 1);
     const std::string path =
-        testing::TempDir() + "trace_fuzz_field.ctrace";
+        testsupport::uniqueTempPath("trace_fuzz_field.ctrace");
     const std::string pristine = pristineBytes(rng);
     std::uint64_t replayed = 0;
     for (std::uint64_t iter = 0; iter < iters; ++iter) {

@@ -18,6 +18,7 @@
 #include "core/vsafe_pg.hpp"
 #include "load/library.hpp"
 #include "load/trace_io.hpp"
+#include "support/temp_path.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -61,7 +62,7 @@ TEST(GoldenTrace, SaveReproducesTheCheckedInBytes)
     // the loaded golden trace yields a byte-identical file.
     const std::string golden_path = dataPath("gesture_50khz.csv");
     const std::string resaved_path =
-        ::testing::TempDir() + "culpeo_golden_resave.csv";
+        testsupport::uniqueTempPath("golden_resave.csv");
     saveTraceCsv(loadTraceCsv(golden_path), resaved_path);
     EXPECT_EQ(slurp(resaved_path), slurp(golden_path));
     std::remove(resaved_path.c_str());

@@ -8,6 +8,7 @@
 #include "core/vsafe_pg.hpp"
 #include "load/library.hpp"
 #include "load/trace_io.hpp"
+#include "support/temp_path.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -32,13 +33,7 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        // One file per test: ctest -j runs each case as its own
-        // process, so a shared name races.
-        path_ = ::testing::TempDir() + "culpeo_trace_test_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".csv";
+        path_ = testsupport::uniqueTempPath("trace_test.csv");
     }
 
     void
