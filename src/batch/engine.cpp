@@ -264,11 +264,10 @@ struct BatchEngine::Impl
 
     /**
      * OutputBooster::computeDraw on branch voltages (vb0, vs0):
-     * identical arithmetic to the scalar fixed-point solve. For zero
-     * load the iteration is invariant after the first pass (pin == 0
-     * regardless of the efficiency estimate), so the closed first pass
-     * reproduces the 8-iteration result bit-for-bit — this is the draw
-     * the wait-dominated paths hit on every probe.
+     * identical arithmetic to the scalar fixed-point solve, including
+     * its exact early exit. For zero load the closed form below is the
+     * scalar's single pass — this is the draw the wait-dominated paths
+     * hit on every probe.
      */
     double drawAt(const LaneRt &rt, double vb0, double vs0, double i_load,
                   bool &collapsed) const
@@ -286,18 +285,12 @@ struct BatchEngine::Impl
             return 0.0;
         }
         if (i_load == 0.0) {
-            // The scalar zero-load fixed point degenerates to
-            // i0 = (voc - sqrt(voc^2)) / 2r, which is zero up to the
-            // rounding of sqrt(voc^2) — at most half an ulp of voc over
-            // 2r, i.e. ~1e-17 A here. Exact replay keeps the dance;
-            // the fast path draws the quiescent current directly.
-            double input = rt.quiescent;
-            if (opts.exact_replay) {
-                const double i0 = r > 0.0
-                    ? (voc - std::sqrt(voc * voc)) / (2.0 * r)
-                    : 0.0;
-                input = i0 + rt.quiescent;
-            }
+            // The scalar zero-load pass computes pin == 0 and
+            // i0 = (voc - sqrt(voc^2)) / 2r. A correctly rounded sqrt
+            // gives sqrt(voc^2) == voc exactly in binary64 (no over- or
+            // underflow at supply voltages), so i0 is exactly zero and
+            // the draw is exactly the quiescent current in both modes.
+            const double input = rt.quiescent;
             collapsed = (voc - input * r) < rt.dropout;
             return input;
         }
@@ -319,9 +312,9 @@ struct BatchEngine::Impl
             i_in = i_new;
             const double vterm_new = voc - i_in * r;
             // An exact fixed point makes the remaining passes no-ops
-            // (bit-identical exit). The fast path also accepts nV-level
-            // convergence, which the scalar's fixed 8 passes reach on
-            // the iterations this skips.
+            // (the scalar solve's own exit). The fast path also accepts
+            // nV-level convergence, which the scalar's further passes
+            // reach on the iterations this skips.
             if (vterm_new == vterm ||
                 (!opts.exact_replay &&
                  std::abs(vterm_new - vterm) < 1e-9)) {
@@ -451,13 +444,18 @@ struct BatchEngine::Impl
 
     // --- Scalar hand-offs ---
 
-    /** One reference Euler step through the lane's own PowerSystem. */
+    /**
+     * One reference Euler step through the lane's own PowerSystem;
+     * @p draw as in PowerSystem::step (a solve at the lane's present
+     * state, or nullptr).
+     */
     sim::StepResult refStep(LaneRt &rt, std::size_t l, double dt,
-                            double i_load)
+                            double i_load,
+                            const sim::BoosterDraw *draw = nullptr)
     {
         rt.system.adoptState(Volts(vb[l]), Volts(vs[l]), Seconds(now[l]));
         const sim::StepResult s =
-            rt.system.step(Seconds(dt), Amps(i_load));
+            rt.system.step(Seconds(dt), Amps(i_load), draw);
         vb[l] = rt.system.capacitor().bulkVoltage().value();
         vs[l] = rt.system.capacitor().surfaceVoltage().value();
         now[l] = rt.system.now().value();
@@ -466,9 +464,11 @@ struct BatchEngine::Impl
     }
 
     /** analyticEventStep mirror (one step + accumulator merge). */
-    void eventStep(LaneRt &rt, std::size_t l, SegCtx &sg)
+    void eventStep(LaneRt &rt, std::size_t l, SegCtx &sg,
+                   const sim::BoosterDraw *draw)
     {
-        const sim::StepResult s = refStep(rt, l, sg.fallback, sg.i_load);
+        const sim::StepResult s =
+            refStep(rt, l, sg.fallback, sg.i_load, draw);
         sg.remaining -= sg.fallback;
         sg.vmin = std::min(sg.vmin, s.terminal.value());
         sg.vend = s.terminal.value();
@@ -864,10 +864,19 @@ struct BatchEngine::Impl
         const double i_charge = chargeAt(rt, voc0);
         const double net0 = i_out - i_charge;
         const double vterm0 = vth0 - net0 * rt.rth;
+        // The event and at-floor reference steps run from this state,
+        // so in exact mode (whose draw is the scalar solve bit-for-bit)
+        // they reuse it; warm mode's draw stops at a 1e-9 V tolerance,
+        // so the scalar step solves again there.
+        sim::BoosterDraw top;
+        top.input_current = Amps(i_out);
+        top.collapsed = collapsed_now;
+        const sim::BoosterDraw *top_draw =
+            enabled && opts.exact_replay ? &top : nullptr;
 
         if (collapsed_now || (enabled && vterm0 < rt.voff) ||
             (!enabled && vterm0 >= rt.vhigh)) {
-            eventStep(rt, l, sg);
+            eventStep(rt, l, sg, top_draw);
             sg.hint = std::max(sg.hint, 4.0 * sg.fallback);
             return true;
         }
@@ -909,7 +918,7 @@ struct BatchEngine::Impl
             dt_try *= shrink;
         }
         if (at_floor) {
-            eventStep(rt, l, sg);
+            eventStep(rt, l, sg, top_draw);
             sg.hint = 4.0 * sg.fallback;
             return true;
         }
@@ -1076,7 +1085,7 @@ struct BatchEngine::Impl
             return false;
         }
         if (pc.event) {
-            eventStep(rt, l, sg);
+            eventStep(rt, l, sg, nullptr); // The commit moved the state.
             sg.hint = std::max(2.0 * sg.fallback, pc.dt);
             rt.sub = Sub::SegStep;
             return true;

@@ -243,10 +243,10 @@ struct BatchOptions
      */
     unsigned event_storm_threshold = 64;
     /**
-     * Replay the scalar engine bit-for-bit: full 8-iteration booster
-     * fixed point (including the degenerate zero-load solve) and the
-     * 64-iteration crossing bisection. The default leaves those on the
-     * fast variants — quiescent-only idle draw, converged fixed point,
+     * Replay the scalar engine bit-for-bit: the booster fixed point
+     * with the scalar solve's exact early exit, and the 64-iteration
+     * crossing bisection. The default leaves those on the fast
+     * variants — a fixed point that also stops at nV-level convergence,
      * Newton-accelerated crossings — which agree with the scalar path
      * well inside the differential-suite tolerances but not to the last
      * bit. The differential harness exercises both settings.

@@ -56,10 +56,13 @@ PowerSystem::PowerSystem(PowerSystemConfig config)
 {}
 
 StepResult
-PowerSystem::step(Seconds dt, Amps i_load)
+PowerSystem::step(Seconds dt, Amps i_load, const BoosterDraw *draw)
 {
     log::fatalIf(dt.value() <= 0.0, "PowerSystem::step requires dt > 0");
     log::fatalIf(i_load.value() < 0.0, "load current cannot be negative");
+    log::fatalIf(draw != nullptr && hooks_ != nullptr,
+                 "a pre-solved booster draw cannot be reused under fault "
+                 "hooks");
 
     FaultActions faults;
     if (hooks_ != nullptr)
@@ -79,10 +82,11 @@ PowerSystem::step(Seconds dt, Amps i_load)
 
     Amps i_out{0.0};
     if (was_enabled && !result.forced_brownout) {
-        const BoosterDraw draw = output_.computeDraw(cap_, i_load);
-        i_out = draw.input_current;
-        result.collapsed = draw.collapsed;
-        result.delivering = !draw.collapsed && i_load.value() > 0.0;
+        const BoosterDraw solved =
+            draw != nullptr ? *draw : output_.computeDraw(cap_, i_load);
+        i_out = solved.input_current;
+        result.collapsed = solved.collapsed;
+        result.delivering = !solved.collapsed && i_load.value() > 0.0;
     }
 
     const Watts harvested = Watts(harvestNow()) * faults.harvest_scale;
@@ -203,9 +207,10 @@ PowerSystem::runSegmentEuler(Seconds duration, Amps i_load,
 
 void
 PowerSystem::analyticEventStep(SegmentResult &result, Amps i_load,
-                               Seconds fallback_dt, double &remaining)
+                               Seconds fallback_dt, double &remaining,
+                               const BoosterDraw *draw)
 {
-    const StepResult s = step(fallback_dt, i_load);
+    const StepResult s = step(fallback_dt, i_load, draw);
     remaining -= fallback_dt.value();
     ++result.reference_steps;
     result.vmin = std::min(result.vmin, s.terminal);
@@ -249,14 +254,15 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
             : std::numeric_limits<double>::infinity();
 
         // Net buffer current of the current regime (as step() would
-        // compute it at this state).
-        Amps i_out{0.0};
-        bool collapsed_now = false;
-        if (enabled) {
-            const BoosterDraw draw = output_.computeDraw(cap_, i_load);
-            collapsed_now = draw.collapsed;
-            i_out = draw.input_current;
-        }
+        // compute it at this state). The event and at-floor reference
+        // steps below run from this same state (the probe works on a
+        // copy), so they reuse this solve instead of repeating it.
+        BoosterDraw draw;
+        if (enabled)
+            draw = output_.computeDraw(cap_, i_load);
+        const BoosterDraw *top_draw = enabled ? &draw : nullptr;
+        const Amps i_out = draw.input_current;
+        const bool collapsed_now = draw.collapsed;
         const Amps i_charge =
             input_.chargeCurrent(harvest, cap_.openCircuitVoltage());
         const double net0 = i_out.value() - i_charge.value();
@@ -268,7 +274,7 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
         if (collapsed_now || (enabled && vterm0 < voff) ||
             (!enabled && vterm0 >= vhigh)) {
             analyticEventStep(result, i_load, options.fallback_dt,
-                              remaining);
+                              remaining, top_draw);
             if ((result.power_failed || result.collapsed) &&
                 options.stop_on_failure)
                 stopped = true;
@@ -323,7 +329,7 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
             // The regime changes faster than one fallback step can
             // resolve analytically; degenerate to the reference path.
             analyticEventStep(result, i_load, options.fallback_dt,
-                              remaining);
+                              remaining, top_draw);
             if ((result.power_failed || result.collapsed) &&
                 options.stop_on_failure)
                 stopped = true;
@@ -383,8 +389,9 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
             result.stopped_at_level = true;
             stopped = true;
         } else if (event) {
+            // The commit moved the state: this step solves afresh.
             analyticEventStep(result, i_load, options.fallback_dt,
-                              remaining);
+                              remaining, nullptr);
             if ((result.power_failed || result.collapsed) &&
                 options.stop_on_failure)
                 stopped = true;

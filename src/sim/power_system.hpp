@@ -140,7 +140,22 @@ class PowerSystem
      * The demand is served only while the monitor enables the output
      * booster; otherwise only charging and leakage progress.
      */
-    StepResult step(Seconds dt, Amps i_load);
+    StepResult step(Seconds dt, Amps i_load)
+    {
+        return step(dt, i_load, nullptr);
+    }
+
+    /**
+     * step() with the output booster's operating point already solved:
+     * @p draw, when non-null, must be OutputBooster::computeDraw at the
+     * present capacitor state and @p i_load (only its input_current and
+     * collapsed fields are read). The analytic segment loop and the
+     * batch engine's exact mode hand over their loop-top solve this way
+     * so a reference step does not repeat it. Fault hooks age the
+     * buffer before the draw, so a draw may not be passed while hooks
+     * are attached (FatalError).
+     */
+    StepResult step(Seconds dt, Amps i_load, const BoosterDraw *draw);
 
     /**
      * Advance by @p duration while the load demands a *constant*
@@ -269,10 +284,13 @@ class PowerSystem
     /**
      * One reference Euler step inside the analytic path, used exactly
      * at monitor/collapse events so their side effects (hysteresis
-     * transitions, failure accounting) match the step() path.
+     * transitions, failure accounting) match the step() path. @p draw
+     * is the loop-top booster solve when the state has not moved since
+     * it was taken, else nullptr.
      */
     void analyticEventStep(SegmentResult &result, Amps i_load,
-                           Seconds fallback_dt, double &remaining);
+                           Seconds fallback_dt, double &remaining,
+                           const BoosterDraw *draw);
     /**
      * Harvest power at now_ (0 W without a source). Piecewise-constant
      * sources answer from piece_, which this refreshes when now_ has

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "sim/booster.hpp"
+#include "sim/power_system.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -147,6 +152,127 @@ TEST(OutputBooster, DropoutMarksCollapse)
     const BoosterDraw draw = booster.computeDraw(chargedCap(2.4),
                                                  Amps(0.05));
     EXPECT_TRUE(draw.collapsed);
+}
+
+/**
+ * Reference solve: the booster fixed point with all 8 passes always run
+ * (the solver before its exact early exit). @p repeat_pass receives the
+ * first pass whose terminal voltage equalled its input (0 = none did,
+ * -1 = the discriminant went negative).
+ */
+BoosterDraw
+fixedEightPassDraw(const OutputBoosterConfig &config, const Capacitor &cap,
+                   Amps i_load, int &repeat_pass)
+{
+    repeat_pass = 0;
+    BoosterDraw draw;
+    const Volts voc = cap.theveninVoltage();
+    const Ohms esr = cap.theveninResistance();
+    const Watts pout = config.vout * i_load;
+    if (voc.value() <= 0.0) {
+        draw.collapsed = true;
+        return draw;
+    }
+    Volts vterm = voc;
+    Amps i_in{0.0};
+    double eta = 1.0;
+    for (int iter = 0; iter < 8; ++iter) {
+        eta = config.efficiency.at(vterm, i_load);
+        const double pin = pout.value() / eta;
+        const double r = esr.value();
+        const double disc = voc.value() * voc.value() - 4.0 * r * pin;
+        if (disc < 0.0) {
+            repeat_pass = -1;
+            draw.collapsed = true;
+            draw.efficiency = eta;
+            draw.terminal_voltage = Volts(voc.value() * 0.5);
+            draw.input_current = Volts(voc.value() * 0.5) / esr;
+            return draw;
+        }
+        const double i_new = r > 0.0
+            ? (voc.value() - std::sqrt(disc)) / (2.0 * r)
+            : pin / voc.value();
+        i_in = Amps(i_new);
+        const Volts vterm_new = voc - i_in * esr;
+        if (repeat_pass == 0 && vterm_new == vterm)
+            repeat_pass = iter + 1;
+        vterm = vterm_new;
+    }
+    draw.input_current = i_in + config.quiescent;
+    draw.terminal_voltage = voc - draw.input_current * esr;
+    draw.efficiency = eta;
+    draw.collapsed = draw.terminal_voltage < config.dropout;
+    return draw;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+TEST(OutputBooster, EarlyExitMatchesFixedEightPassesBitForBit)
+{
+    OutputBoosterConfig capybara = sim::capybaraConfig().output;
+    OutputBoosterConfig linear = capybara;
+    linear.efficiency = capybara.efficiency.linearApprox();
+    const sim::CapacitorConfig base = sim::capybaraConfig().capacitor;
+    const double loads[] = {0.0,  1e-4, 5e-4, 1e-3, 2e-3, 5e-3,
+                            1e-2, 2e-2, 3e-2, 5e-2, 7.5e-2, 0.1};
+
+    unsigned collapsed = 0, dropout = 0, one_pass = 0, early = 0;
+    unsigned unconverged = 0;
+    for (const OutputBoosterConfig *config : {&capybara, &linear}) {
+        const OutputBooster booster(*config);
+        for (const double esr_scale : {0.25, 1.0, 4.0, 16.0}) {
+            sim::CapacitorConfig cc = base;
+            cc.series_esr = Ohms(base.series_esr.value() * esr_scale);
+            cc.bulk_resistance =
+                Ohms(base.bulk_resistance.value() * esr_scale);
+            cc.surface_resistance =
+                Ohms(base.surface_resistance.value() * esr_scale);
+            for (int k = 0; k <= 42; ++k) {
+                Capacitor cap(cc);
+                cap.setOpenCircuitVoltage(Volts(0.5 + 0.05 * k));
+                for (const double load : loads) {
+                    int repeat_pass = 0;
+                    const BoosterDraw want = fixedEightPassDraw(
+                        *config, cap, Amps(load), repeat_pass);
+                    const BoosterDraw got =
+                        booster.computeDraw(cap, Amps(load));
+                    SCOPED_TRACE(testing::Message()
+                                 << "esr x" << esr_scale << " voc "
+                                 << cap.theveninVoltage().value()
+                                 << " V, load " << load << " A");
+                    EXPECT_EQ(bitsOf(got.input_current.value()),
+                              bitsOf(want.input_current.value()));
+                    EXPECT_EQ(bitsOf(got.terminal_voltage.value()),
+                              bitsOf(want.terminal_voltage.value()));
+                    EXPECT_EQ(bitsOf(got.efficiency),
+                              bitsOf(want.efficiency));
+                    EXPECT_EQ(got.collapsed, want.collapsed);
+                    if (repeat_pass < 0)
+                        ++collapsed;
+                    else if (want.collapsed)
+                        ++dropout;
+                    else if (repeat_pass == 0)
+                        ++unconverged;
+                    else if (repeat_pass == 1)
+                        ++one_pass;
+                    else
+                        ++early;
+                }
+            }
+        }
+    }
+    // The grid spans every exit: the discriminant collapse, a dropout
+    // collapse, zero-load one-pass solves, multi-pass early exits and
+    // solves still moving after the 8-pass cap.
+    EXPECT_GT(collapsed, 0u);
+    EXPECT_GT(dropout, 0u);
+    EXPECT_GT(one_pass, 0u);
+    EXPECT_GT(early, 0u);
+    EXPECT_GT(unconverged, 0u);
 }
 
 TEST(OutputBooster, ConfigValidation)

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "batch/engine.hpp"
+#include "load/profile.hpp"
 #include "sim/capacitor.hpp"
 #include "sim/harvester.hpp"
 #include "sim/instrumentation.hpp"
 #include "sim/power_system.hpp"
+#include "util/logging.hpp"
 
 namespace {
 
@@ -239,6 +242,136 @@ TEST(SegmentStepping, AdvanceAnalyticMatchesFineEuler)
         EXPECT_NEAR(euler.surfaceVoltage().value(),
                     fast.surfaceVoltage().value(), 1e-3);
     }
+}
+
+/**
+ * Charger cut-off chatter: a full Capybara buffer under strong constant
+ * harvest serving a light load sits at Vhigh. The input booster stops
+ * charging whenever voc >= vhigh, so the net current flips sign every
+ * few microseconds and every macro-step probe floors: the whole segment
+ * runs as reference steps. Each of those reuses the analytic loop's own
+ * booster solve, so the values below — recorded from the solver that
+ * always ran 8 passes and solved again inside every step — pin that
+ * reuse and the solver's early exit bit-for-bit.
+ */
+constexpr double kCutoffHarvestW = 50e-3;
+constexpr double kCutoffLoadA = 8e-3;
+constexpr double kCutoffSeconds = 2.0;
+
+sim::PowerSystem
+fullBufferUnderHarvest(const sim::Harvester &harvest)
+{
+    sim::PowerSystem system(sim::capybaraConfig());
+    system.setHarvester(&harvest);
+    system.setBufferVoltage(system.vhigh());
+    system.forceOutputEnabled(true);
+    return system;
+}
+
+TEST(SegmentStepping, ChargerCutoffChatterIsPinned)
+{
+    const sim::ConstantHarvester harvest{Watts(kCutoffHarvestW)};
+    sim::PowerSystem system = fullBufferUnderHarvest(harvest);
+    const sim::SegmentResult r = system.runSegment(
+        Seconds(kCutoffSeconds), Amps(kCutoffLoadA));
+    EXPECT_TRUE(r.used_analytic);
+    EXPECT_FALSE(r.power_failed);
+    EXPECT_FALSE(r.collapsed);
+    EXPECT_EQ(r.macro_steps, 0u);
+    EXPECT_EQ(r.reference_steps, 40000u);
+    EXPECT_EQ(r.vmin.value(), 0x1.448509c6f7ccep+1);
+    EXPECT_EQ(r.vend.value(), 0x1.49a367c9c47bcp+1);
+    EXPECT_EQ(system.capacitor().bulkVoltage().value(),
+              0x1.47ae0d136b558p+1);
+    EXPECT_EQ(system.capacitor().surfaceVoltage().value(),
+              0x1.47afa5a3e9eebp+1);
+    EXPECT_EQ(system.now().value(), 0x1.00000000011aap+1);
+}
+
+/**
+ * The same program on an exact-replay batch lane: its reference steps
+ * reuse the lane's loop-top draw, then the event storm peels the rest
+ * onto the scalar stepper. Outcomes equal the scalar segment's.
+ */
+TEST(SegmentStepping, ChargerCutoffChatterOnExactBatchLane)
+{
+    const load::CurrentProfile hold(
+        "hold", {{Seconds(kCutoffSeconds), Amps(kCutoffLoadA)}});
+    batch::BatchOptions options;
+    options.exact_replay = true;
+    batch::BatchEngine engine(options);
+    batch::LaneSpec spec;
+    spec.config = sim::capybaraConfig();
+    spec.vstart = spec.config.monitor.vhigh;
+    spec.start_enabled = true;
+    spec.harvest = Watts(kCutoffHarvestW);
+    spec.program = {batch::LaneOp::runProfile(&hold, Seconds(50e-6))};
+    engine.addLane(spec);
+    engine.run();
+
+    const batch::LaneResult &lane = engine.result(0);
+    ASSERT_EQ(lane.ops.size(), 1u);
+    EXPECT_TRUE(lane.ops[0].completed);
+    EXPECT_EQ(lane.peels, 1u);
+    EXPECT_EQ(lane.macro_commits, 0u);
+    EXPECT_EQ(lane.ops[0].vmin.value(), 0x1.448509c6f7ccep+1);
+    EXPECT_EQ(lane.ops[0].voltage.value(), 0x1.49a367c9c47bcp+1);
+    EXPECT_EQ(lane.end_time.value(), 0x1.00000000011aap+1);
+    // Resting voltage of the scalar run's final branch voltages.
+    EXPECT_EQ(lane.vend.value(), 0x1.47af7592ea18fp+1);
+}
+
+/** Ages the buffer from t = 1 s on, as a fault model would. */
+class AgeFromOneSecond : public sim::FaultHooks
+{
+  public:
+    sim::FaultActions onStep(Seconds now, Seconds /*dt*/) override
+    {
+        sim::FaultActions actions;
+        if (now.value() >= 1.0) {
+            actions.apply_aging = true;
+            actions.capacitance_fraction = 0.9;
+            actions.esr_multiplier = 1.5;
+        }
+        return actions;
+    }
+};
+
+/**
+ * Under fault hooks the segment runs on the Euler path, and each step
+ * solves the booster after aging the buffer; the values are those of
+ * the 8-pass solver.
+ */
+TEST(SegmentStepping, ChargerCutoffChatterUnderFaultHooksIsPinned)
+{
+    const sim::ConstantHarvester harvest{Watts(kCutoffHarvestW)};
+    sim::PowerSystem system = fullBufferUnderHarvest(harvest);
+    AgeFromOneSecond hooks;
+    system.setFaultHooks(&hooks);
+    const sim::SegmentResult r = system.runSegment(
+        Seconds(kCutoffSeconds), Amps(kCutoffLoadA));
+    EXPECT_FALSE(r.used_analytic);
+    EXPECT_EQ(r.reference_steps, 40000u);
+    EXPECT_EQ(r.vmin.value(), 0x1.42e9d4e988626p+1);
+    EXPECT_EQ(r.vend.value(), 0x1.42e9e1dfa890dp+1);
+    EXPECT_EQ(system.capacitor().bulkVoltage().value(),
+              0x1.47adf5d5a617fp+1);
+    EXPECT_EQ(system.capacitor().surfaceVoltage().value(),
+              0x1.47ac29bfec966p+1);
+}
+
+/** A pre-solved draw is refused while fault hooks are attached. */
+TEST(SegmentStepping, StepRefusesAReusedDrawUnderFaultHooks)
+{
+    const sim::ConstantHarvester harvest{Watts(kCutoffHarvestW)};
+    sim::PowerSystem system = fullBufferUnderHarvest(harvest);
+    const sim::BoosterDraw draw = system.outputBooster().computeDraw(
+        system.capacitor(), Amps(kCutoffLoadA));
+    EXPECT_NO_THROW(system.step(Seconds(50e-6), Amps(kCutoffLoadA), &draw));
+    AgeFromOneSecond hooks;
+    system.setFaultHooks(&hooks);
+    EXPECT_THROW(system.step(Seconds(50e-6), Amps(kCutoffLoadA), &draw),
+                 log::FatalError);
 }
 
 /** Zero- and negative-duration segments are graceful no-ops. */
