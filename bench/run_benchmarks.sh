@@ -89,19 +89,10 @@ if trial_fast and trial_tel:
 # Batch sweep executor: per-trial comparison against the scalar sweep
 # (both run 32 trials per iteration, so raw times divide out).
 scalar_sweep = times.get("BM_ScalarRunTrials")
-for arg, label in (("0", "warm"), ("1", "exact")):
-    batch = times.get(f"BM_BatchRunTrial/exact:{arg}")
-    if scalar_sweep and batch:
-        print(f"batch sweep speedup ({label} vs scalar, per trial): "
-              f"{scalar_sweep / batch:.2f}x")
-# Commit-kernel dispatch tiers: width-pair ratios from the same run
-# (hosts lacking a tier skip its benchmark, so these just go silent).
-kernel_scalar = times.get("BM_CommitKernelWarm/width:1")
-for width in (4, 8):
-    wide = times.get(f"BM_CommitKernelWarm/width:{width}")
-    if kernel_scalar and wide:
-        print(f"commit kernel {width}-wide speedup (vs scalar tier): "
-              f"{kernel_scalar / wide:.2f}x")
+batch = times.get("BM_BatchRunTrial/exact:1")
+if scalar_sweep and batch:
+    print(f"batch sweep speedup (vs scalar, per trial): "
+          f"{scalar_sweep / batch:.2f}x")
 # Fleet shard-parallel scaling: wall-clock ratio of the same
 # population under pools of 1 vs N participants.
 fleet_one = times.get("BM_FleetStep/threads:1/real_time")

@@ -6,8 +6,8 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
-#include "batch/commit_kernel.hpp"
 #include "sim/harvester.hpp"
 #include "sim/segment_curve.hpp"
 #include "util/logging.hpp"
@@ -22,14 +22,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kMaxIdleChunk = 600.0;
 
 /**
+ * Macro-step acceptance bound: the scalar stepper's default, which
+ * peeled segments also run with. Bit-identity holds only at this value.
+ */
+constexpr double kCurrentTolerance = sim::SegmentOptions{}.current_tolerance;
+
+/**
  * Terminal-voltage curve of one analytic macro step, v(t) = a + b t +
  * c exp(-t/tau): the shared sim::SegmentCurve, so committed macro
  * steps and located crossings are bit-identical between the batch
  * engine and sim::PowerSystem by construction — including the
  * 64-iteration bisection returning the crossed-side bracket end.
- * Warm mode swaps the crossing search for the batched bracket-Newton
- * solver in commit_kernel.cpp (solveCrossings), fed per round through
- * the engine's CrossingPanel.
  */
 using Curve = sim::SegmentCurve;
 
@@ -39,7 +42,6 @@ enum class Sub : std::uint8_t
     OpBegin,  ///< Start (or finish) an op of the program.
     WaitTop,  ///< Loop top of a WaitLevel/WaitEnabled op.
     SegStep,  ///< One controller iteration of the active segment.
-    SegCross, ///< Warm commit parked on the round's crossing panel.
     SegApply, ///< Post-commit bookkeeping after the SoA commit pass.
     SegEnd,   ///< Segment over; hand back to its owning op.
     Done,     ///< Program complete.
@@ -119,13 +121,112 @@ struct Pending
      */
     double staged_vend = 0.0;
     bool staged = false;
-    // SegCross resume state (warm mode parks here while the round's
-    // CrossingPanel answers its root finds).
-    double horizon = 0.0;  ///< dt_try of the probe being committed.
-    double exp_try = -1.0; ///< exp(-horizon/tau) from the accept probe.
-    std::int32_t q_event = -1; ///< Panel column of the voff/vhigh query.
-    std::int32_t q_level = -1; ///< Panel column of the stop-level query.
 };
+
+/**
+ * One round's scheduled macro steps, packed densely by the control
+ * pass. Column k holds everything the closed-form q/d commit of lane
+ * `lane[k]` needs, so the commit pass streams contiguous memory and
+ * never touches the engine's lane-indexed state.
+ */
+struct CommitPanel
+{
+    // Packed inputs (one column per scheduled lane).
+    std::vector<std::uint32_t> lane;
+    std::vector<double> q0;         ///< (cb vb + cs vs) / ct at pack time.
+    std::vector<double> d0;         ///< vb - vs at pack time.
+    std::vector<double> ct;
+    std::vector<double> cs_over_ct; ///< cs / ct (the commit's division).
+    std::vector<double> cb_over_ct; ///< cb / ct.
+    std::vector<double> tau;
+    std::vector<double> beta;
+    std::vector<double> net;        ///< Leak-inclusive state current.
+    std::vector<double> dt;         ///< Committed step length.
+    /** exp(-dt/tau) from the accept probe; < 0 when dt was shortened. */
+    std::vector<double> exp_hint;
+    // Terminal-voltage curve coefficients (tau is shared above).
+    std::vector<double> curve_a, curve_b, curve_c;
+
+    // Kernel outputs, sized by commitPanelExact.
+    std::vector<double> vb1, vs1;
+    /** curve.at(dt), reusing the kernel's exp — the staged boundary
+     *  sample the scatter loop hands to SegApply for non-deep lanes. */
+    std::vector<double> vend;
+    std::vector<std::uint8_t> deep; ///< Negative branch: Euler delegate.
+
+    std::size_t size() const { return lane.size(); }
+
+    void clear()
+    {
+        lane.clear();
+        q0.clear();
+        d0.clear();
+        ct.clear();
+        cs_over_ct.clear();
+        cb_over_ct.clear();
+        tau.clear();
+        beta.clear();
+        net.clear();
+        dt.clear();
+        exp_hint.clear();
+        curve_a.clear();
+        curve_b.clear();
+        curve_c.clear();
+    }
+
+    void push(std::uint32_t lane_idx, double q0_v, double d0_v, double ct_v,
+              double cs_over_ct_v, double cb_over_ct_v, double tau_v,
+              double beta_v, double net_v, double dt_v, double exp_hint_v,
+              double curve_a_v, double curve_b_v, double curve_c_v)
+    {
+        lane.push_back(lane_idx);
+        q0.push_back(q0_v);
+        d0.push_back(d0_v);
+        ct.push_back(ct_v);
+        cs_over_ct.push_back(cs_over_ct_v);
+        cb_over_ct.push_back(cb_over_ct_v);
+        tau.push_back(tau_v);
+        beta.push_back(beta_v);
+        net.push_back(net_v);
+        dt.push_back(dt_v);
+        exp_hint.push_back(exp_hint_v);
+        curve_a.push_back(curve_a_v);
+        curve_b.push_back(curve_b_v);
+        curve_c.push_back(curve_c_v);
+    }
+};
+
+/**
+ * The closed-form commit of every packed lane: per-lane std::exp in
+ * the precise expression order of the scalar
+ * Capacitor::advanceAnalytic, so a committed macro step is
+ * bit-identical to sim::Device's. Lanes whose end state has a negative
+ * branch are flagged `deep` for the clamped Euler delegate.
+ */
+void
+commitPanelExact(CommitPanel &p)
+{
+    const std::size_t n = p.size();
+    p.vb1.resize(n);
+    p.vs1.resize(n);
+    p.vend.resize(n);
+    p.deep.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const double net = p.net[k];
+        const double dtk = p.dt[k];
+        const double d_inf = -net * p.beta[k] * p.tau[k];
+        const double q = p.q0[k] - net * dtk / p.ct[k];
+        const double e = p.exp_hint[k] >= 0.0
+            ? p.exp_hint[k]
+            : std::exp(-dtk / p.tau[k]);
+        const double d = (p.d0[k] - d_inf) * e + d_inf;
+        p.vb1[k] = q + p.cs_over_ct[k] * d;
+        p.vs1[k] = q - p.cb_over_ct[k] * d;
+        p.vend[k] = p.curve_a[k] + p.curve_b[k] * dtk + p.curve_c[k] * e;
+    }
+    for (std::size_t k = 0; k < n; ++k)
+        p.deep[k] = (p.vb1[k] < 0.0 || p.vs1[k] < 0.0) ? 1 : 0;
+}
 
 } // namespace
 
@@ -243,11 +344,8 @@ struct BatchEngine::Impl
     std::vector<double> vb, vs, now;
     std::vector<double> tau, beta, ct, cb, cs;
 
-    /** Macro steps scheduled this round, packed for the SoA kernels. */
+    /** Macro steps scheduled this round, packed for the commit pass. */
     CommitPanel panel;
-    /** Warm-mode crossing queries deferred to the round boundary. */
-    CrossingPanel cross;
-    std::vector<std::uint32_t> cross_lanes;
 
     // --- Cached scalar formulas (bit-identical to the sim:: models) ---
 
@@ -289,7 +387,7 @@ struct BatchEngine::Impl
             // i0 = (voc - sqrt(voc^2)) / 2r. A correctly rounded sqrt
             // gives sqrt(voc^2) == voc exactly in binary64 (no over- or
             // underflow at supply voltages), so i0 is exactly zero and
-            // the draw is exactly the quiescent current in both modes.
+            // the draw is exactly the quiescent current.
             const double input = rt.quiescent;
             collapsed = (voc - input * r) < rt.dropout;
             return input;
@@ -312,15 +410,9 @@ struct BatchEngine::Impl
             i_in = i_new;
             const double vterm_new = voc - i_in * r;
             // An exact fixed point makes the remaining passes no-ops
-            // (the scalar solve's own exit). The fast path also accepts
-            // nV-level convergence, which the scalar's further passes
-            // reach on the iterations this skips.
-            if (vterm_new == vterm ||
-                (!opts.exact_replay &&
-                 std::abs(vterm_new - vterm) < 1e-9)) {
-                vterm = vterm_new;
+            // (the scalar solve's own exit).
+            if (vterm_new == vterm)
                 break;
-            }
             vterm = vterm_new;
         }
         const double input = i_in + rt.quiescent;
@@ -386,8 +478,7 @@ struct BatchEngine::Impl
         const double d0 = vb0 - vs0;
         const double d_inf = -net * rt.beta * rt.tau;
         const double q = q0 - net * dt / rt.ct;
-        const double e = opts.exact_replay ? std::exp(-dt / rt.tau)
-                                           : fastExp(-dt / rt.tau);
+        const double e = std::exp(-dt / rt.tau);
         if (exp_out != nullptr)
             *exp_out = e;
         const double d = (d0 - d_inf) * e + d_inf;
@@ -418,28 +509,6 @@ struct BatchEngine::Impl
             vb1 = std::max(0.0, vb1 - ib * h / rt.cb);
             vs1 = std::max(0.0, vs1 - is * h / rt.cs);
         }
-    }
-
-    // --- Curve evaluation, mode-flavored ---
-
-    /** curve.at(t): exact keeps std::exp (bitwise), warm goes fast. */
-    double curveAt(const Curve &c, double t) const
-    {
-        if (opts.exact_replay)
-            return c.at(t);
-        return c.a + c.b * t + c.c * fastExp(-t / c.tau);
-    }
-
-    /** curve.minOver(horizon) with the mode's exp flavor. */
-    double curveMin(const Curve &c, double horizon) const
-    {
-        if (opts.exact_replay)
-            return c.minOver(horizon);
-        double m = std::min(c.a + c.c, curveAt(c, horizon));
-        const double t = c.stationaryPoint(horizon);
-        if (t > 0.0)
-            m = std::min(m, curveAt(c, t));
-        return m;
     }
 
     // --- Scalar hand-offs ---
@@ -492,7 +561,6 @@ struct BatchEngine::Impl
         sim::SegmentOptions o;
         o.fallback_dt = Seconds(sg.fallback);
         o.stop_on_failure = sg.stop_on_failure;
-        o.current_tolerance = opts.current_tolerance;
         if (sg.has_stop_level)
             o.stop_above_resting = Volts(sg.stop_level);
         o.stop_when_enabled = sg.stop_when_enabled;
@@ -774,12 +842,6 @@ struct BatchEngine::Impl
                     return; // Commit scheduled / ref step / peel taken.
                 continue;
 
-            case Sub::SegCross:
-                // Parked on the round's crossing panel; crossingPass()
-                // always resumes the lane before the round ends, so the
-                // control pass never actually sees this state.
-                return;
-
             case Sub::SegApply:
                 if (segApply(rt, l))
                     return; // Post-commit event took a reference step.
@@ -865,14 +927,12 @@ struct BatchEngine::Impl
         const double net0 = i_out - i_charge;
         const double vterm0 = vth0 - net0 * rt.rth;
         // The event and at-floor reference steps run from this state,
-        // so in exact mode (whose draw is the scalar solve bit-for-bit)
-        // they reuse it; warm mode's draw stops at a 1e-9 V tolerance,
-        // so the scalar step solves again there.
+        // and the draw above is the scalar solve bit-for-bit, so they
+        // reuse it.
         sim::BoosterDraw top;
         top.input_current = Amps(i_out);
         top.collapsed = collapsed_now;
-        const sim::BoosterDraw *top_draw =
-            enabled && opts.exact_replay ? &top : nullptr;
+        const sim::BoosterDraw *top_draw = enabled ? &top : nullptr;
 
         if (collapsed_now || (enabled && vterm0 < rt.voff) ||
             (!enabled && vterm0 >= rt.vhigh)) {
@@ -892,7 +952,7 @@ struct BatchEngine::Impl
         double exp_try = -1.0; ///< exp(-dt_try/tau) of the accepted probe.
         bool at_floor = false;
         const double bound = std::max(
-            1e-6, opts.current_tolerance * std::abs(net0));
+            1e-6, kCurrentTolerance * std::abs(net0));
         while (true) {
             if (dt_try <= sg.fallback * (1.0 + 1e-9)) {
                 at_floor = true;
@@ -947,17 +1007,15 @@ struct BatchEngine::Impl
         // order) when the full probe span commits.
         const double t_star = pc.curve.stationaryPoint(dt_try);
         const double v0 = pc.curve.a + pc.curve.c; // at(0), bitwise.
-        const double v_end = curveAt(pc.curve, dt_try);
+        const double v_end = pc.curve.at(dt_try);
         double vmin_try = std::min(v0, v_end);
         double vmax_try = std::max(v0, v_end);
         if (t_star > 0.0) {
-            const double v_star = curveAt(pc.curve, t_star);
+            const double v_star = pc.curve.at(t_star);
             vmin_try = std::min(vmin_try, v_star);
             vmax_try = std::max(vmax_try, v_star);
         }
 
-        pc.horizon = dt_try;
-        pc.exp_try = exp_try;
         pc.i_state = i_state;
         pc.net_avg = net_avg;
         pc.vmin_full = vmin_try;
@@ -979,25 +1037,6 @@ struct BatchEngine::Impl
         const bool want_level =
             sg.has_stop_level && vmax_try >= stop_lvl;
 
-        if (!opts.exact_replay && (want_event || want_level)) {
-            // Warm mode: park the lane and queue its root finds on the
-            // round's crossing panel; crossingPass() resumes it through
-            // finishCommit once the batched Newton solver has answered
-            // every lane's queries together.
-            if (want_event)
-                pc.q_event = static_cast<std::int32_t>(cross.push(
-                    pc.curve.a, pc.curve.b, pc.curve.c, pc.curve.tau,
-                    enabled ? rt.voff : rt.vhigh, dt_try,
-                    /*falling=*/enabled));
-            if (want_level)
-                pc.q_level = static_cast<std::int32_t>(cross.push(
-                    pc.curve.a, pc.curve.b, pc.curve.c, pc.curve.tau,
-                    stop_lvl, dt_try, /*falling=*/false));
-            cross_lanes.push_back(static_cast<std::uint32_t>(l));
-            rt.sub = Sub::SegCross;
-            return true;
-        }
-
         double crossing = -1.0;
         if (want_event)
             crossing = pc.curve.firstCrossing(
@@ -1007,20 +1046,7 @@ struct BatchEngine::Impl
         if (want_level)
             level_cross = pc.curve.firstCrossing(stop_lvl, dt_try,
                                                  /*falling=*/false);
-        return finishCommit(rt, l, crossing, level_cross);
-    }
-
-    /**
-     * Commit selection from resolved crossings: the tail of the scalar
-     * macro-step loop body, shared between the exact inline path and
-     * the warm deferred (SegCross) path. Packs the accepted step onto
-     * the round's CommitPanel.
-     */
-    bool finishCommit(LaneRt &rt, std::size_t l, double crossing,
-                      double level_cross)
-    {
-        Pending &pc = rt.pc;
-        const double dt_try = pc.horizon;
+        // Commit selection: the tail of the scalar macro-step loop body.
         const bool level_first = level_cross > 0.0 &&
             (crossing <= 0.0 || level_cross < crossing);
         const bool event = !level_first && crossing > 0.0;
@@ -1039,14 +1065,12 @@ struct BatchEngine::Impl
         pc.have_vmin = full_span;
         // Lane state is untouched between the control pass and the
         // commit pass, so packing q0/d0 (and the cs/ct, cb/ct ratios)
-        // here is bit-identical to computing them at commit time.
-        const double q0 = (rt.cb * vb[l] + rt.cs * vs[l]) / rt.ct;
-        const double d0 = vb[l] - vs[l];
-        // The accepted probe evaluated exp(-dt_try/tau); a full-span
-        // commit reuses it verbatim in the SoA pass.
+        // here is bit-identical to computing them at commit time. The
+        // accepted probe evaluated exp(-dt_try/tau); a full-span commit
+        // reuses it verbatim in the SoA pass.
         panel.push(static_cast<std::uint32_t>(l), q0, d0, rt.ct,
                    rt.cs / rt.ct, rt.cb / rt.ct, rt.tau, rt.beta,
-                   pc.i_state, commit, full_span ? pc.exp_try : -1.0,
+                   pc.i_state, commit, full_span ? exp_try : -1.0,
                    pc.curve.a, pc.curve.b, pc.curve.c);
         rt.sub = Sub::SegApply;
         return true;
@@ -1072,12 +1096,12 @@ struct BatchEngine::Impl
         sg.remaining -= pc.dt;
         sg.vmin = std::min(sg.vmin, pc.have_vmin
                                         ? pc.vmin_full
-                                        : curveMin(pc.curve, pc.dt));
+                                        : pc.curve.minOver(pc.dt));
         // Non-deep lanes staged their boundary sample in the commit
         // kernel (reusing its exp); deep lanes recompute it here after
         // the Euler delegate, and that recompute is the macro step's
         // only report — staged is deliberately cleared for them.
-        sg.vend = pc.staged ? pc.staged_vend : curveAt(pc.curve, pc.dt);
+        sg.vend = pc.staged ? pc.staged_vend : pc.curve.at(pc.dt);
         if (pc.level_first) {
             sg.stopped_at_level = true;
             sg.stopped = true;
@@ -1169,18 +1193,13 @@ struct BatchEngine::Impl
 
     /**
      * The branch-free SoA pass: run the round's packed CommitPanel
-     * through the mode's kernel (exact: per-lane std::exp with
-     * Capacitor::advanceAnalytic's exact arithmetic; warm: the
-     * vectorized tier kernel), then scatter results back to lane state.
-     * Lanes whose end state has a negative branch are flagged for the
-     * Euler delegation instead of being written.
+     * through commitPanelExact, then scatter results back to lane
+     * state. Lanes whose end state has a negative branch are flagged
+     * for the Euler delegation instead of being written.
      */
     void commitPass()
     {
-        if (opts.exact_replay)
-            commitPanelExact(panel);
-        else
-            commitPanelWarm(panel);
+        commitPanelExact(panel);
         const std::size_t n = panel.size();
         for (std::size_t k = 0; k < n; ++k) {
             const std::size_t l = panel.lane[k];
@@ -1203,30 +1222,6 @@ struct BatchEngine::Impl
         panel.clear();
     }
 
-    /**
-     * Resolve the round's deferred warm-mode crossing queries in one
-     * batched Newton solve, then resume every parked lane through
-     * finishCommit so its macro step lands on this round's panel —
-     * deferral adds no round latency.
-     */
-    void crossingPass()
-    {
-        solveCrossings(cross);
-        for (const std::uint32_t l : cross_lanes) {
-            LaneRt &rt = *lanes[l];
-            Pending &pc = rt.pc;
-            const double crossing =
-                pc.q_event >= 0 ? cross.out[pc.q_event] : -1.0;
-            const double level_cross =
-                pc.q_level >= 0 ? cross.out[pc.q_level] : -1.0;
-            pc.q_event = -1;
-            pc.q_level = -1;
-            finishCommit(rt, l, crossing, level_cross);
-        }
-        cross.clear();
-        cross_lanes.clear();
-    }
-
     void run()
     {
         std::vector<std::size_t> active;
@@ -1244,8 +1239,6 @@ struct BatchEngine::Impl
                     ++i;
                 }
             }
-            if (!cross_lanes.empty())
-                crossingPass();
             if (panel.size() != 0)
                 commitPass();
             // Round boundary: let buffering sources (staged telemetry)
@@ -1263,8 +1256,6 @@ BatchEngine::BatchEngine(BatchOptions options)
     : impl_(std::make_unique<Impl>())
 {
     impl_->opts = options;
-    log::fatalIf(options.current_tolerance <= 0.0,
-                 "batch current_tolerance must be positive");
     log::fatalIf(options.event_storm_threshold == 0,
                  "batch event_storm_threshold must be positive");
 }

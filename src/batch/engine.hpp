@@ -232,24 +232,22 @@ struct LaneResult
     unsigned peels = 0;
 };
 
-/** Batch-wide knobs. */
+/**
+ * Batch-wide knobs. Every lane replays the scalar engine bit-for-bit
+ * (same booster fixed point, same macro-step acceptance bound, same
+ * crossing bisection), whatever these are set to.
+ */
 struct BatchOptions
 {
-    /** Macro-step acceptance bound (SegmentOptions::current_tolerance). */
-    double current_tolerance = 0.025;
     /**
      * Consecutive reference steps inside one segment before the lane is
      * peeled onto the scalar engine for the segment's remainder.
      */
     unsigned event_storm_threshold = 64;
     /**
-     * Replay the scalar engine bit-for-bit: the booster fixed point
-     * with the scalar solve's exact early exit, and the 64-iteration
-     * crossing bisection. The default leaves those on the fast
-     * variants — a fixed point that also stops at nV-level convergence,
-     * Newton-accelerated crossings — which agree with the scalar path
-     * well inside the differential-suite tolerances but not to the last
-     * bit. The differential harness exercises both settings.
+     * Ignored: exact replay is the engine's only mode. Kept only so
+     * existing callers that still assign it compile; it will be removed
+     * (ROADMAP item 6).
      */
     bool exact_replay = false;
 };
@@ -274,8 +272,8 @@ class BatchEngine
 
     /**
      * Rewind a lane to t = 0 with equalized branches at @p vstart and
-     * the monitor forced to @p enabled; clears its result and warm
-     * caches. Power-failure counts report per-run deltas.
+     * the monitor forced to @p enabled; clears its controller state and
+     * result. Power-failure counts report per-run deltas.
      */
     void resetLane(std::size_t lane, Volts vstart, bool enabled);
     /** Replace a lane's program (empty = lane sits out the next run()). */
@@ -302,7 +300,7 @@ std::vector<LaneResult> runPopulation(const std::vector<LaneSpec> &specs,
 /**
  * Reference executor: the same spec through sim::Device primitives.
  * The differential harness asserts runPopulation ≡ runLaneScalar per
- * lane within the analytic-equivalence tolerances.
+ * lane, bit-for-bit.
  */
 LaneResult runLaneScalar(const LaneSpec &spec);
 

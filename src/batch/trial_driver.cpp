@@ -269,7 +269,7 @@ TrialDriver::advanceChain(const LaneStatus &status, LaneOp *out)
     if (status.now <= service_deadline_) {
         ++cur_stats_->captured;
         // Same Seconds expression as the scalar engine's
-        // `device.now() - event.arrival` — exact_replay bit-identity.
+        // `device.now() - event.arrival`, for bit-identity.
         result_.capture_latency += status.now - cur_arrival_;
     } else {
         ++cur_stats_->lost;

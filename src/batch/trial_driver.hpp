@@ -73,7 +73,8 @@ struct PolicyTables
  * Device primitive from each op outcome, replaying runSeededTrial's
  * decision loop — including its telemetry emission order — without a
  * sim::Device. All time/threshold arithmetic uses the same expressions
- * as the scalar engine so exact_replay runs are bit-identical.
+ * as the scalar engine, so a driven lane is bit-identical to its
+ * sim::Device trial.
  */
 class TrialDriver : public OpSource
 {

@@ -54,8 +54,7 @@ runTrialsBatch(const AppSpec &app, const Policy &policy,
         ? config.harvester->constantPower()
         : std::optional<Watts>(app.harvest);
 
-    telemetry::Telemetry *sink =
-        telemetry::kEnabled ? config.telemetry : nullptr;
+    telemetry::Telemetry *sink = config.telemetry;
 
     struct TrialRun
     {

@@ -152,18 +152,14 @@ noteError(const DecodeCtx &ctx, const TraceError &error)
         return;
     if (ctx.stats->errors.size() < ctx.options->max_errors_kept)
         ctx.stats->errors.push_back(error);
-    if constexpr (telemetry::kEnabled) {
-        telemetry::Telemetry *tel = ctx.options->telemetry;
-        if (tel != nullptr) {
-            tel->registry()
-                .counter(telemetry::names::kTraceCorruption)
-                .add(1);
-            tel->emit(telemetry::EventKind::TraceCorruption,
-                      /*time_s=*/0.0, /*voltage_v=*/0.0,
-                      tel->trace().intern(traceErrorName(error.code)),
-                      double(error.block),
-                      /*flag=*/ctx.options->mode != RecoveryMode::Strict);
-        }
+    telemetry::Telemetry *tel = ctx.options->telemetry;
+    if (tel != nullptr) {
+        tel->registry().counter(telemetry::names::kTraceCorruption).add(1);
+        tel->emit(telemetry::EventKind::TraceCorruption,
+                  /*time_s=*/0.0, /*voltage_v=*/0.0,
+                  tel->trace().intern(traceErrorName(error.code)),
+                  double(error.block),
+                  /*flag=*/ctx.options->mode != RecoveryMode::Strict);
     }
 }
 

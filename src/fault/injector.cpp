@@ -173,10 +173,6 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t noise_seed)
 void
 FaultInjector::onTelemetry(telemetry::Telemetry *telemetry)
 {
-    if constexpr (!telemetry::kEnabled) {
-        (void)telemetry;
-        return;
-    }
     telemetry_ = telemetry;
     injected_ = nullptr;
     if (telemetry_ == nullptr)
@@ -194,19 +190,13 @@ void
 FaultInjector::noteInjection(Seconds now, std::uint32_t label,
                              double value)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        injected_->add();
-        // The injector runs below the voltage read path, so the event
-        // carries no terminal voltage (0).
-        telemetry_->emit(telemetry::EventKind::FaultInjected, now.value(),
-                         0.0, label, value);
-    } else {
-        (void)now;
-        (void)label;
-        (void)value;
-    }
+    if (telemetry_ == nullptr)
+        return;
+    injected_->add();
+    // The injector runs below the voltage read path, so the event
+    // carries no terminal voltage (0).
+    telemetry_->emit(telemetry::EventKind::FaultInjected, now.value(),
+                     0.0, label, value);
 }
 
 sim::FaultActions

@@ -250,8 +250,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
     for (std::size_t i = 0; i < spec.cohorts.size(); ++i)
         tables.emplace_back(*spec.cohorts[i].app, *policies[i]);
 
-    telemetry::Telemetry *sink =
-        telemetry::kEnabled ? options.telemetry : nullptr;
+    telemetry::Telemetry *sink = options.telemetry;
 
     struct DeviceRun
     {

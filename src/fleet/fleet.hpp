@@ -3,7 +3,9 @@
  * Fleet-scale population simulator (DESIGN.md §16): N heterogeneous
  * devices deployed across a shared env::HarvestField, each running a
  * full scheduler trial on its own batch::BatchEngine lane via the
- * batch::TrialDriver replica, sharded over the thread pool.
+ * batch::TrialDriver replica, sharded over the thread pool. Each lane
+ * replays the scalar engine bit-for-bit, so a device's outcome equals
+ * its sched::runSeededTrial on a sim::Device.
  *
  * Determinism contract: every per-device draw (cohort, position,
  * parameter scales, trial seed) is a pure function of (FleetSpec::seed,

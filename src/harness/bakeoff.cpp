@@ -125,16 +125,13 @@ runCell(const BakeoffMatrix &matrix, const std::string &policy_name,
         config.harvester = &*view;
     }
 
-    // Stationary policies take the batch sweep executor in exact-replay
-    // mode; adaptive ones take the scalar path (serial, carrying state).
+    // Stationary policies take the batch sweep executor; adaptive ones
+    // take the scalar path (serial, carrying state).
     sched::AggregateResult agg;
-    if (batch::batchTrialsEligible(config, *policy)) {
-        batch::TrialRunnerOptions options;
-        options.batch.exact_replay = true;
-        agg = batch::runTrialsBatch(app, *policy, config, options);
-    } else {
+    if (batch::batchTrialsEligible(config, *policy))
+        agg = batch::runTrialsBatch(app, *policy, config);
+    else
         agg = sched::runTrialsWith(app, *policy, config);
-    }
 
     BakeoffCell cell;
     cell.policy = policy_name;

@@ -98,12 +98,11 @@ findTrueVsafeBatched(const sim::PowerSystemConfig &config,
                      const load::CurrentProfile &profile,
                      const SearchOptions &search)
 {
-    // Exact replay keeps every trial verdict — and thus the converged
-    // vsafe — bit-identical to the runTaskFrom path the scalar search
-    // uses. One engine and one lane are reused across the bisection.
-    batch::BatchOptions kernel;
-    kernel.exact_replay = true;
-    batch::BatchEngine engine(kernel);
+    // The batch lane replays the scalar engine bit-for-bit, so every
+    // trial verdict — and thus the converged vsafe — is identical to
+    // the runTaskFrom path the scalar search uses. One engine and one
+    // lane are reused across the bisection.
+    batch::BatchEngine engine;
 
     batch::LaneSpec spec;
     spec.config = config;
@@ -176,9 +175,7 @@ findTrueVsafeBatch(const std::vector<VsafeQuery> &queries,
         return results;
     }
 
-    batch::BatchOptions kernel;
-    kernel.exact_replay = true;
-    batch::BatchEngine engine(kernel);
+    batch::BatchEngine engine;
 
     std::vector<Bisection> bisections;
     bisections.reserve(queries.size());

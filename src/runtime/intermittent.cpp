@@ -45,17 +45,12 @@ struct RuntimeTelemetry
 
     explicit RuntimeTelemetry(sim::Device &device)
     {
-        if constexpr (telemetry::kEnabled) {
-            sink = device.telemetry();
-            if (sink != nullptr) {
-                namespace names = telemetry::names;
-                reboots =
-                    &sink->registry().counter(names::kRuntimeReboots);
-                retries =
-                    &sink->registry().counter(names::kRuntimeTaskRetries);
-            }
-        } else {
-            (void)device;
+        sink = device.telemetry();
+        if (sink != nullptr) {
+            namespace names = telemetry::names;
+            reboots = &sink->registry().counter(names::kRuntimeReboots);
+            retries =
+                &sink->registry().counter(names::kRuntimeTaskRetries);
         }
     }
 };

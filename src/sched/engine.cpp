@@ -504,8 +504,7 @@ TrialResult
 runTrialWith(const AppSpec &app, Policy &policy,
              const TrialConfig &config)
 {
-    telemetry::Telemetry *sink =
-        telemetry::kEnabled ? config.telemetry : nullptr;
+    telemetry::Telemetry *sink = config.telemetry;
     std::optional<telemetry::Telemetry> scratch;
     if (sink != nullptr) {
         scratch.emplace(sink->config());
@@ -576,8 +575,7 @@ runTrialsWith(const AppSpec &app, Policy &policy,
     aggregate.capture_rates.assign(app.events.size(), 0.0);
     aggregate.arrivals.assign(app.events.size(), 0);
 
-    telemetry::Telemetry *sink =
-        telemetry::kEnabled ? config.telemetry : nullptr;
+    telemetry::Telemetry *sink = config.telemetry;
 
     struct TrialRun
     {

@@ -24,12 +24,8 @@ Supervisor::probeDue(const TaskState &task, Seconds now) const
 std::uint32_t
 Supervisor::label(TaskState &task, const std::string &name)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (task.label == 0 && telemetry_ != nullptr)
-            task.label = telemetry_->trace().intern(name);
-    } else {
-        (void)name;
-    }
+    if (task.label == 0 && telemetry_ != nullptr)
+        task.label = telemetry_->trace().intern(name);
     return task.label;
 }
 
@@ -37,19 +33,8 @@ void
 Supervisor::emit(telemetry::EventKind kind, Seconds now, double voltage_v,
                  std::uint32_t name_id, double value, bool flag)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ != nullptr) {
-            telemetry_->emit(kind, now.value(), voltage_v, name_id,
-                             value, flag);
-        }
-    } else {
-        (void)kind;
-        (void)now;
-        (void)voltage_v;
-        (void)name_id;
-        (void)value;
-        (void)flag;
-    }
+    if (telemetry_ != nullptr)
+        telemetry_->emit(kind, now.value(), voltage_v, name_id, value, flag);
 }
 
 void
@@ -66,10 +51,8 @@ Supervisor::demote(TaskState &task, const std::string &name, Seconds now)
                  options_.probe_interval.value() * backoff);
     task.probe_at = now + Seconds(interval);
     ++stats_.sheds;
-    if constexpr (telemetry::kEnabled) {
-        if (ctr_sheds_ != nullptr)
-            ctr_sheds_->add();
-    }
+    if (ctr_sheds_ != nullptr)
+        ctr_sheds_->add();
     emit(telemetry::EventKind::TaskShed, now, 0.0, label(task, name),
          task.probe_at.value());
 }
@@ -88,10 +71,8 @@ Supervisor::setMargin(TaskState &task, const std::string &name,
     task.margin_v = margin_v;
     if (inflation) {
         ++stats_.margin_inflations;
-        if constexpr (telemetry::kEnabled) {
-            if (ctr_margin_inflations_ != nullptr)
-                ctr_margin_inflations_->add();
-        }
+        if (ctr_margin_inflations_ != nullptr)
+            ctr_margin_inflations_->add();
     }
     if (notable) {
         emit(telemetry::EventKind::MarginUpdate, now, 0.0,
@@ -118,10 +99,8 @@ Supervisor::updateDrift(TaskState &task, const std::string &name,
     if (!task.alarm && task.deficit_ewma_v > alarm_level) {
         task.alarm = true;
         ++stats_.drift_alarms;
-        if constexpr (telemetry::kEnabled) {
-            if (ctr_drift_alarms_ != nullptr)
-                ctr_drift_alarms_->add();
-        }
+        if (ctr_drift_alarms_ != nullptr)
+            ctr_drift_alarms_->add();
         emit(telemetry::EventKind::DriftAlarm, now, 0.0,
              label(task, name), task.deficit_ewma_v);
     } else if (task.alarm && task.deficit_ewma_v <
@@ -153,10 +132,8 @@ Supervisor::admitTask(const std::string &name, Volts base_need,
     if (task.health == TaskHealth::Demoted) {
         if (!probeDue(task, now)) {
             ++stats_.shed_skips;
-            if constexpr (telemetry::kEnabled) {
-                if (ctr_shed_skips_ != nullptr)
-                    ctr_shed_skips_->add();
-            }
+            if (ctr_shed_skips_ != nullptr)
+                ctr_shed_skips_->add();
             return {false, base_need + Volts(task.margin_v)};
         }
         // Probe: one genuine attempt. Enter Recovering with the budget
@@ -166,10 +143,8 @@ Supervisor::admitTask(const std::string &name, Volts base_need,
         task.consecutive_brownouts = options_.retry_budget;
         task.probe_pending = true;
         ++stats_.readmissions;
-        if constexpr (telemetry::kEnabled) {
-            if (ctr_readmissions_ != nullptr)
-                ctr_readmissions_->add();
-        }
+        if (ctr_readmissions_ != nullptr)
+            ctr_readmissions_->add();
         emit(telemetry::EventKind::TaskReadmit, now, 0.0,
              label(task, name), double(task.demotions));
     }
@@ -232,10 +207,8 @@ Supervisor::noteOutcome(const std::string &name, bool completed,
     updateDrift(task, name, deficit, now);
     ++task.consecutive_brownouts;
     ++stats_.retries;
-    if constexpr (telemetry::kEnabled) {
-        if (ctr_retries_ != nullptr)
-            ctr_retries_->add();
-    }
+    if (ctr_retries_ != nullptr)
+        ctr_retries_->add();
     emit(telemetry::EventKind::TaskRetry, now, admitted_at.value(),
          label(task, name), double(task.consecutive_brownouts),
          was_probe);
@@ -263,10 +236,6 @@ Supervisor::noteUnreachable(const std::string &name, Seconds now)
 void
 Supervisor::onTelemetry(telemetry::Telemetry *telemetry)
 {
-    if constexpr (!telemetry::kEnabled) {
-        (void)telemetry;
-        return;
-    }
     telemetry_ = telemetry;
     ctr_drift_alarms_ = nullptr;
     ctr_margin_inflations_ = nullptr;

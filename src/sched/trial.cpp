@@ -35,11 +35,9 @@ TrialBuilder::runAll() const
                  "TrialBuilder: policy() was not set");
     sched::Policy &policy = resolvedPolicy();
     if (batch::batchTrialsEligible(config_, policy)) {
-        // Clean stationary sweeps run on the SoA batch engine in
-        // exact-replay mode: bit-identical results, lockstep execution.
-        batch::TrialRunnerOptions options;
-        options.batch.exact_replay = true;
-        return batch::runTrialsBatch(*app_, policy, config_, options);
+        // Clean stationary sweeps run on the SoA batch engine:
+        // bit-identical results, lockstep execution.
+        return batch::runTrialsBatch(*app_, policy, config_);
     }
     return sched::runTrialsWith(*app_, policy, config_);
 }

@@ -53,10 +53,6 @@ Device::Device(PowerSystemConfig config, DeviceOptions options)
 void
 Device::setTelemetry(telemetry::Telemetry *telemetry)
 {
-    if constexpr (!telemetry::kEnabled) {
-        (void)telemetry;
-        return;
-    }
     telemetry_ = telemetry;
     buffer_switches_ = nullptr; // Re-resolved lazily against the new sink.
     if (telemetry_ == nullptr) {
@@ -81,77 +77,60 @@ void
 Device::reconfigureBuffer(const CapacitorConfig &next)
 {
     system_.reconfigureCapacitor(next);
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        if (buffer_switches_ == nullptr) {
-            buffer_switches_ = &telemetry_->registry().counter(
-                telemetry::names::kDeviceBufferSwitches);
-        }
-        buffer_switches_->add();
+    if (telemetry_ == nullptr)
+        return;
+    if (buffer_switches_ == nullptr) {
+        buffer_switches_ = &telemetry_->registry().counter(
+            telemetry::names::kDeviceBufferSwitches);
     }
+    buffer_switches_->add();
 }
 
 void
 Device::noteWait(const WaitResult &result)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        tcache_.waits->add();
-        if (result.status == WaitStatus::Unreachable)
-            tcache_.waits_unreachable->add();
-    } else {
-        (void)result;
-    }
+    if (telemetry_ == nullptr)
+        return;
+    tcache_.waits->add();
+    if (result.status == WaitStatus::Unreachable)
+        tcache_.waits_unreachable->add();
 }
 
 void
 Device::noteRecharge(Volts enter_voltage, Volts target,
                      const WaitResult &result)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        noteWait(result);
-        tcache_.recharges->add();
-        tcache_.recharge_seconds->record(result.elapsed.value());
-        const double t_exit = system_.now().value();
-        telemetry_->emit(telemetry::EventKind::RechargeEnter,
-                         t_exit - result.elapsed.value(),
-                         enter_voltage.value(), 0, target.value());
-        telemetry_->emit(telemetry::EventKind::RechargeExit, t_exit,
-                         result.voltage.value(), 0, target.value(),
-                         result.reached());
-    } else {
-        (void)enter_voltage;
-        (void)target;
-        (void)result;
-    }
+    if (telemetry_ == nullptr)
+        return;
+    noteWait(result);
+    tcache_.recharges->add();
+    tcache_.recharge_seconds->record(result.elapsed.value());
+    const double t_exit = system_.now().value();
+    telemetry_->emit(telemetry::EventKind::RechargeEnter,
+                     t_exit - result.elapsed.value(),
+                     enter_voltage.value(), 0, target.value());
+    telemetry_->emit(telemetry::EventKind::RechargeExit, t_exit,
+                     result.voltage.value(), 0, target.value(),
+                     result.reached());
 }
 
 void
 Device::noteLoad(const LoadResult &result)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        tcache_.loads->add();
-        tcache_.min_margin->record(result.vmin.value() -
-                                   system_.voff().value());
-        const double t = system_.now().value();
-        if (telemetry_->sampleTick()) {
-            telemetry_->emit(telemetry::EventKind::VminRecord, t,
-                             result.vend.value(), 0, result.vmin.value(),
-                             result.completed);
-        }
-        if (result.power_failed) {
-            tcache_.brownouts->add();
-            telemetry_->emit(telemetry::EventKind::BrownOut, t,
-                             result.vmin.value(), 0, result.vmin.value());
-        }
-    } else {
-        (void)result;
+    if (telemetry_ == nullptr)
+        return;
+    tcache_.loads->add();
+    tcache_.min_margin->record(result.vmin.value() - system_.voff().value());
+    const double t = system_.now().value();
+    if (telemetry_->sampleTick()) {
+        telemetry_->emit(telemetry::EventKind::VminRecord, t,
+                         result.vend.value(), 0, result.vmin.value(),
+                         result.completed);
+    }
+    if (result.power_failed) {
+        tcache_.brownouts->add();
+        telemetry_->emit(telemetry::EventKind::BrownOut, t,
+                         result.vmin.value(), 0, result.vmin.value());
     }
 }
 

@@ -191,8 +191,7 @@ class Device
      * Attach a telemetry sink. Unlike fault hooks and observers this
      * does NOT force the Euler backend: the device emits only at
      * primitive boundaries (a load ran, a recharge wait ended), so the
-     * analytic fast path stays eligible. Pass nullptr to detach. No-op
-     * when the build has CULPEO_TELEMETRY off.
+     * analytic fast path stays eligible. Pass nullptr to detach.
      */
     void setTelemetry(telemetry::Telemetry *telemetry);
     telemetry::Telemetry *telemetry() const { return telemetry_; }

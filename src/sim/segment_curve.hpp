@@ -13,10 +13,7 @@
  * stepper (power_system.cpp) and the SoA batch engine (src/batch/):
  * both paths evaluate the *same* curve code, so committed macro steps
  * and located crossings are bit-identical by construction rather than
- * by keeping two verbatim twins in sync. The batch engine's warm mode
- * layers Newton-accelerated crossings and a polynomial exp on top
- * (src/batch/commit_kernel.hpp); everything in this file is the exact
- * arithmetic both fidelity modes share.
+ * by keeping two verbatim twins in sync.
  */
 
 #ifndef CULPEO_SIM_SEGMENT_CURVE_HPP

@@ -53,14 +53,6 @@ expectExactLane(const batch::LaneResult &kernel,
     EXPECT_NEAR(kernel.vend.value(), scalar.vend.value(), kExactTol) << what;
 }
 
-batch::BatchOptions
-exactOptions()
-{
-    batch::BatchOptions options;
-    options.exact_replay = true;
-    return options;
-}
-
 /**
  * Every lane starts barely above Voff under a heavy pulse: the whole
  * batch diverges (monitor crossing + possible collapse) inside the
@@ -87,7 +79,7 @@ TEST(BatchDivergence, AllLanesDivergeInFirstSegment)
         specs.push_back(std::move(spec));
     }
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation(specs, exactOptions());
+        batch::runPopulation(specs);
     bool any_failed = false;
     for (std::size_t l = 0; l < specs.size(); ++l) {
         expectExactLane(kernel[l], batch::runLaneScalar(specs[l]),
@@ -111,7 +103,7 @@ TEST(BatchDivergence, SingleLaneBatch)
         batch::LaneOp::rechargeTo(Volts(spec.config.monitor.vhigh)),
     };
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation({spec}, exactOptions());
+        batch::runPopulation({spec});
     ASSERT_EQ(kernel.size(), 1u);
     expectExactLane(kernel[0], batch::runLaneScalar(spec), "single lane");
     EXPECT_GT(kernel[0].ops.size(), 0u);
@@ -138,7 +130,7 @@ TEST(BatchDivergence, VoffAndVhighInsideOneStep)
         batch::LaneOp::rechargeTo(Volts(spec.config.monitor.vhigh)),
     };
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation({spec}, exactOptions());
+        batch::runPopulation({spec});
     const batch::LaneResult scalar = batch::runLaneScalar(spec);
     expectExactLane(kernel[0], scalar, "crash lane");
     EXPECT_TRUE(kernel[0].ops[0].power_failed);
@@ -167,7 +159,7 @@ TEST(BatchDivergence, UnreachableTargetMatchesDeviceDiagnostics)
                                  Seconds(30.0)),
     };
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation({spec}, exactOptions());
+        batch::runPopulation({spec});
     const batch::LaneResult scalar = batch::runLaneScalar(spec);
     expectExactLane(kernel[0], scalar, "unreachable lane");
     ASSERT_EQ(kernel[0].ops.size(), 2u);
@@ -197,12 +189,12 @@ TEST(BatchDivergence, EventStormPeelPreservesResults)
         batch::LaneOp::waitLevel(Volts(spec.config.monitor.vhigh),
                                  Seconds(10.0)),
     };
-    batch::BatchOptions stormy = exactOptions();
+    batch::BatchOptions stormy;
     stormy.event_storm_threshold = 1;
     const std::vector<batch::LaneResult> peeled =
         batch::runPopulation({spec}, stormy);
     const std::vector<batch::LaneResult> normal =
-        batch::runPopulation({spec}, exactOptions());
+        batch::runPopulation({spec});
     expectExactLane(peeled[0], batch::runLaneScalar(spec), "peeled lane");
     expectExactLane(peeled[0], normal[0], "peeled vs normal");
     EXPECT_GT(peeled[0].peels, 0u);
@@ -221,7 +213,7 @@ TEST(BatchDivergence, LaneReuseMatchesFreshEngine)
     spec.vstart = Volts(spec.config.monitor.vhigh);
     spec.program = {batch::LaneOp::runProfile(&heavy, Seconds(50e-6))};
 
-    batch::BatchEngine engine(exactOptions());
+    batch::BatchEngine engine;
     engine.addLane(spec);
     engine.run();
     const unsigned first_failures = engine.result(0).power_failures;
@@ -241,7 +233,7 @@ TEST(BatchDivergence, LaneReuseMatchesFreshEngine)
     batch::LaneSpec fresh = spec;
     fresh.vstart = lower;
     const std::vector<batch::LaneResult> reference =
-        batch::runPopulation({fresh}, exactOptions());
+        batch::runPopulation({fresh});
     expectExactLane(engine.result(0), reference[0], "reused lane");
 }
 

@@ -5,13 +5,8 @@
  * executors — the lockstep kernel (runPopulation) and the sim::Device
  * reference (runLaneScalar) — and every per-op outcome is compared.
  *
- * Two kernel settings are exercised per population:
- *  - exact_replay = true must reproduce the scalar engine bit-for-bit
- *    (verdicts, diagnostics, voltages and times to 1e-9);
- *  - the default warm mode must agree within the analytic-equivalence
- *    tolerances (5 mV / sub-ms), with verdict flips permitted only
- *    when the scalar trajectory itself passes within tolerance of the
- *    deciding threshold (a razor-edge case by construction).
+ * The kernel must reproduce the scalar engine bit-for-bit: verdicts,
+ * diagnostics, voltages and times to 1e-9.
  *
  * Every population derives from one 64-bit seed; failures print the
  * seed so `CULPEO_FUZZ_SEED=<seed> CULPEO_FUZZ_ITERS=1 ./test_batch`
@@ -71,10 +66,6 @@ seedHint(std::uint64_t seed)
            " CULPEO_FUZZ_ITERS=1";
 }
 
-/** Warm-mode agreement bounds (tests/integration kVoltTol and kin). */
-constexpr double kWarmVoltTol = 5e-3;
-constexpr double kWarmTimeTolAbs = 1e-3;
-constexpr double kWarmTimeTolRel = 0.02;
 /** Exact-replay bounds: bit-identical arithmetic, allow fp noise 0. */
 constexpr double kExactTol = 1e-9;
 
@@ -152,33 +143,7 @@ makePopulation(std::uint64_t seed)
     return pop;
 }
 
-/**
- * Was the scalar outcome decided within @p tol of a verdict threshold?
- * Warm mode may legitimately flip such verdicts; anything else must
- * match exactly.
- */
-bool
-razorEdge(const batch::OpOutcome &scalar, const batch::LaneOp &op,
-          const sim::PowerSystemConfig &config, double tol)
-{
-    const double voff = config.monitor.voff.value();
-    const double von = config.monitor.vhigh.value(); // re-enable level
-    switch (op.kind) {
-    case batch::OpKind::WaitLevel:
-        return std::abs(scalar.voltage.value() - op.level.value()) < tol ||
-               std::abs(scalar.voltage.value() - voff) < tol;
-    case batch::OpKind::WaitEnabled:
-        return std::abs(scalar.voltage.value() - von) < tol;
-    case batch::OpKind::RunProfile:
-        return std::abs(scalar.vmin.value() - voff) < tol ||
-               scalar.vmin.value() < voff + tol;
-    case batch::OpKind::IdleFor:
-        return false;
-    }
-    return false;
-}
-
-/** Compare kernel vs scalar, exact-replay flavor. Returns failure. */
+/** Compare kernel vs scalar. Returns failure. */
 bool
 expectExact(const batch::LaneResult &kernel, const batch::LaneResult &scalar,
             std::size_t lane, const std::string &hint)
@@ -217,80 +182,7 @@ expectExact(const batch::LaneResult &kernel, const batch::LaneResult &scalar,
     return failed;
 }
 
-/** Compare kernel vs scalar, warm flavor (threshold-guarded). */
-void
-expectWarm(const batch::LaneResult &kernel, const batch::LaneResult &scalar,
-           const batch::LaneSpec &spec, std::size_t lane,
-           const std::string &hint)
-{
-    ASSERT_EQ(kernel.ops.size(), scalar.ops.size())
-        << "lane " << lane << ": " << hint;
-    bool razor = false;
-    for (std::size_t o = 0; o < kernel.ops.size(); ++o) {
-        const batch::OpOutcome &k = kernel.ops[o];
-        const batch::OpOutcome &s = scalar.ops[o];
-        const batch::LaneOp &op =
-            spec.program[o % spec.program.size()];
-        const std::string where =
-            "lane " + std::to_string(lane) + " op " + std::to_string(o) +
-            ": " + hint;
-        const bool verdicts_match =
-            int(k.wait_status) == int(s.wait_status) &&
-            k.completed == s.completed && k.power_failed == s.power_failed &&
-            k.collapsed == s.collapsed;
-        if (!verdicts_match) {
-            EXPECT_TRUE(razorEdge(s, op, spec.config, kWarmVoltTol))
-                << where << " — verdicts diverged away from any threshold";
-            // A flip forks the downstream trajectory; later ops are not
-            // comparable for this lane.
-            razor = true;
-            break;
-        }
-        // Unreachable diagnostics embed model-variant numerics; require
-        // agreement on presence only in warm mode.
-        EXPECT_EQ(k.diagnostic.empty(), s.diagnostic.empty()) << where;
-        EXPECT_NEAR(k.voltage.value(), s.voltage.value(), kWarmVoltTol)
-            << where;
-        if (op.kind == batch::OpKind::RunProfile) {
-            EXPECT_NEAR(k.vmin.value(), s.vmin.value(), kWarmVoltTol) << where;
-        }
-        EXPECT_NEAR(k.elapsed.value(), s.elapsed.value(),
-                    std::max(kWarmTimeTolAbs,
-                             kWarmTimeTolRel * s.elapsed.value()))
-            << where;
-    }
-    // A razor-edge flip legitimately changes downstream trajectories;
-    // aggregate checks only apply to populations with no flips.
-    if (!razor) {
-        EXPECT_EQ(kernel.power_failures, scalar.power_failures)
-            << "lane " << lane << ": " << hint;
-        EXPECT_NEAR(kernel.vend.value(), scalar.vend.value(), kWarmVoltTol)
-            << "lane " << lane << ": " << hint;
-    }
-}
-
 TEST(BatchEquivalenceFuzz, ExactReplayMatchesScalarBitForBit)
-{
-    const unsigned iters =
-        seedOverridden() ? envUnsigned("CULPEO_FUZZ_ITERS", 1)
-                         : envUnsigned("CULPEO_FUZZ_ITERS", 200);
-    batch::BatchOptions exact;
-    exact.exact_replay = true;
-    for (unsigned i = 0; i < iters; ++i) {
-        const std::uint64_t seed = baseSeed() + i;
-        Population pop = makePopulation(seed);
-        const std::vector<batch::LaneResult> kernel =
-            batch::runPopulation(pop.specs, exact);
-        for (std::size_t l = 0; l < pop.specs.size(); ++l) {
-            const batch::LaneResult scalar =
-                batch::runLaneScalar(pop.specs[l]);
-            if (expectExact(kernel[l], scalar, l, seedHint(seed)))
-                return; // First divergent population is enough signal.
-        }
-    }
-}
-
-TEST(BatchEquivalenceFuzz, WarmModeAgreesWithinAnalyticTolerances)
 {
     const unsigned iters =
         seedOverridden() ? envUnsigned("CULPEO_FUZZ_ITERS", 1)
@@ -303,9 +195,8 @@ TEST(BatchEquivalenceFuzz, WarmModeAgreesWithinAnalyticTolerances)
         for (std::size_t l = 0; l < pop.specs.size(); ++l) {
             const batch::LaneResult scalar =
                 batch::runLaneScalar(pop.specs[l]);
-            expectWarm(kernel[l], scalar, pop.specs[l], l, seedHint(seed));
-            if (::testing::Test::HasFailure())
-                return;
+            if (expectExact(kernel[l], scalar, l, seedHint(seed)))
+                return; // First divergent population is enough signal.
         }
     }
 }

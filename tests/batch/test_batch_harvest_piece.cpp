@@ -32,9 +32,7 @@ idleProgram()
 TEST(BatchHarvestPiece, LaneQueriesEachPieceOnce)
 {
     CountingPieces pieces(10.0);
-    batch::BatchOptions options;
-    options.exact_replay = true;
-    batch::BatchEngine engine(options);
+    batch::BatchEngine engine;
     batch::LaneSpec spec;
     spec.config = sim::capybaraConfig();
     spec.vstart = Volts(1.7);
@@ -58,9 +56,7 @@ TEST(BatchHarvestPiece, LaneQueriesEachPieceOnce)
 TEST(BatchHarvestPiece, LaneResetRewindsAndRequeries)
 {
     CountingPieces pieces(10.0);
-    batch::BatchOptions options;
-    options.exact_replay = true;
-    batch::BatchEngine engine(options);
+    batch::BatchEngine engine;
     batch::LaneSpec spec;
     spec.config = sim::capybaraConfig();
     spec.vstart = Volts(1.7);

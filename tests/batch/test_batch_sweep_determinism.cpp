@@ -62,10 +62,8 @@ TEST(BatchSweep, ExactReplayMatchesScalarSweepAggregates)
 
     const sched::AggregateResult scalar =
         sched::runTrialsWith(app, policy, config);
-    batch::TrialRunnerOptions options;
-    options.batch.exact_replay = true;
     const sched::AggregateResult batched =
-        batch::runTrialsBatch(app, policy, config, options);
+        batch::runTrialsBatch(app, policy, config);
     expectAggregatesEqual(scalar, batched, "scalar vs batch");
 }
 
@@ -111,9 +109,6 @@ TEST(BatchSweep, AggregatesAreShardSizeInvariant)
 
 TEST(BatchSweep, TelemetryMergeOrderIsDeterministic)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "built with CULPEO_TELEMETRY=OFF";
-
     const sched::AppSpec app = apps::periodicSensing();
     sched::CulpeoPolicy policy;
     policy.initialize(app);
@@ -129,7 +124,6 @@ TEST(BatchSweep, TelemetryMergeOrderIsDeterministic)
         config.telemetry = &sink;
         batch::TrialRunnerOptions options;
         options.shard_lanes = shards[run];
-        options.batch.exact_replay = true;
         batch::runTrialsBatch(app, policy, config, options);
         std::ostringstream out;
         sink.writeJsonl(out);
@@ -144,9 +138,6 @@ TEST(BatchSweep, TelemetryMergeOrderIsDeterministic)
 
 TEST(BatchSweep, TelemetryMatchesScalarSweepSnapshot)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "built with CULPEO_TELEMETRY=OFF";
-
     const sched::AppSpec app = apps::periodicSensing();
     sched::CulpeoPolicy policy;
     policy.initialize(app);
@@ -166,9 +157,7 @@ TEST(BatchSweep, TelemetryMatchesScalarSweepSnapshot)
         telemetry::Telemetry sink;
         sched::TrialConfig config = sweepConfig(5);
         config.telemetry = &sink;
-        batch::TrialRunnerOptions options;
-        options.batch.exact_replay = true;
-        batch::runTrialsBatch(app, policy, config, options);
+        batch::runTrialsBatch(app, policy, config);
         std::ostringstream out;
         sink.writeJsonl(out);
         batch_jsonl = out.str();

@@ -4,7 +4,7 @@
  * harvest field honors the piecewise-constant HarvestField contract,
  * a field → trace file → replay round trip drives the lockstep batch
  * kernel and the scalar sim::Device reference to bit-identical
- * outcomes under exact_replay, and a fleet run over a TraceField stays
+ * outcomes, and a fleet run over a TraceField stays
  * shard-count invariant. This is the tentpole's closing loop: traces
  * ride the same seam the parametric skies use, so no engine changes —
  * and no engine divergence — are possible.
@@ -277,10 +277,8 @@ TEST(TraceFieldDifferential, ExactReplayMatchesScalarUnderRecordedTrace)
     for (std::uint64_t round = 0; round < 4; ++round) {
         const std::uint64_t seed = baseSeed() + 5000 + round;
         Population pop = randomPopulation(field, seed, 8);
-        batch::BatchOptions options;
-        options.exact_replay = true;
         const std::vector<batch::LaneResult> kernel =
-            batch::runPopulation(pop.specs, options);
+            batch::runPopulation(pop.specs);
         for (std::size_t l = 0; l < pop.specs.size(); ++l) {
             const batch::LaneResult scalar =
                 batch::runLaneScalar(pop.specs[l]);
@@ -320,10 +318,8 @@ TEST(TraceFieldDifferential, RecoveredTraceStillReplaysBitIdentically)
     ASSERT_TRUE(field->stats().corrupted());
     const std::uint64_t seed = baseSeed() + 6000;
     Population pop = randomPopulation(*field, seed, 6);
-    batch::BatchOptions batch_options;
-    batch_options.exact_replay = true;
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation(pop.specs, batch_options);
+        batch::runPopulation(pop.specs);
     for (std::size_t l = 0; l < pop.specs.size(); ++l)
         expectExactMatch(kernel[l], batch::runLaneScalar(pop.specs[l]),
                          seed, l);

@@ -512,8 +512,6 @@ TEST(TraceRecovery, NothingDecodableIsEmptyTraceInEveryMode)
 
 TEST(TraceTelemetry, CorruptionIsCountedAndTraced)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "telemetry compiled out";
     const std::string path = tempPath("trace_telemetry.ctrace");
     writeFileBytes(path, crcFlipBytes(validBytes()));
 

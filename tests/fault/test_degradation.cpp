@@ -221,9 +221,6 @@ TEST(FaultInjectorDrift, ResetRestoresThePristinePart)
 
 TEST(FaultInjectorDrift, DegradationNotesTelemetryOnce)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "built with CULPEO_TELEMETRY=OFF";
-
     FaultPlan plan;
     DegradationModel drift;
     drift.shape = DriftShape::Linear;

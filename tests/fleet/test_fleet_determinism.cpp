@@ -3,7 +3,8 @@
  * Fleet determinism guarantees (DESIGN.md §16): per-device sampling is
  * a pure function of (seed, index); a fleet run's SummaryReport — and
  * any merged telemetry — is byte-identical across shard layouts; equal
- * seeds reproduce, different seeds diverge; and the TrialBuilder
+ * seeds reproduce, different seeds diverge; every device's outcome
+ * equals its scalar sim::Device trial; and the TrialBuilder
  * .environment() knob routes a single trial through the same
  * FieldHarvester view a hand-built config would.
  */
@@ -142,8 +143,6 @@ TEST(FleetDeterminism, ShardCountInvariance)
 
 TEST(FleetDeterminism, TelemetryMergeIsShardInvariant)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "telemetry compiled out";
     FleetFixture fx;
     fx.spec.devices = 12; // Keep the instrumented run small.
 
@@ -215,6 +214,59 @@ TEST(FleetDeterminism, RegistryPoliciesMixAndStayShardInvariant)
     };
     const fleet::SummaryReport c = fleet::runFleet(borrowed, five);
     EXPECT_EQ(reportBytes(a), reportBytes(c));
+}
+
+TEST(FleetDeterminism, DevicesMatchScalarDeviceTrials)
+{
+    // Fleet lanes replay the scalar engine bit-for-bit, so every
+    // device's outcome equals its own trial on a sim::Device: the same
+    // sampled part, the cohort policy resolved at nominal parameters,
+    // the device's view of the field and its trial seed.
+    FleetFixture fx;
+    const fleet::SummaryReport report = fleet::runFleet(fx.spec);
+    ASSERT_EQ(report.devices.size(), fx.spec.devices);
+
+    sched::Policy *const policies[] = {&fx.culpeo_policy,
+                                       &fx.catnap_policy};
+    unsigned arrived = 0;
+    unsigned power_failures = 0;
+    for (std::size_t d = 0; d < fx.spec.devices; ++d) {
+        const fleet::DeviceRecord rec = fleet::sampleDevice(fx.spec, d);
+        sched::AppSpec app = *fx.spec.cohorts[rec.cohort].app;
+        // The same scaling runFleet applies to each lane's part.
+        sim::CapacitorConfig &cap = app.power.capacitor;
+        cap.capacitance = Farads(cap.capacitance.value() * rec.cap_scale);
+        cap.series_esr = Ohms(cap.series_esr.value() * rec.esr_scale);
+        cap.bulk_resistance =
+            Ohms(cap.bulk_resistance.value() * rec.esr_scale);
+        cap.surface_resistance =
+            Ohms(cap.surface_resistance.value() * rec.esr_scale);
+        const env::FieldHarvester view(fx.field, rec.pos);
+        sched::TrialConfig config;
+        config.duration = fx.spec.duration;
+        config.harvester = &view;
+        const sched::TrialResult trial = sched::runSeededTrial(
+            app, *policies[rec.cohort], config, rec.trial_seed, nullptr);
+
+        unsigned trial_arrived = 0;
+        unsigned trial_captured = 0;
+        for (const sched::EventTypeStats &e : trial.per_event) {
+            trial_arrived += e.arrived;
+            trial_captured += e.captured;
+        }
+        const fleet::DeviceResult &device = report.devices[d];
+        EXPECT_EQ(device.arrived, trial_arrived) << "device " << d;
+        EXPECT_EQ(device.captured, trial_captured) << "device " << d;
+        EXPECT_EQ(device.power_failures, trial.power_failures)
+            << "device " << d;
+        EXPECT_EQ(device.background_runs, trial.background_runs)
+            << "device " << d;
+        arrived += trial_arrived;
+        power_failures += trial.power_failures;
+    }
+    // The comparison covered real traffic, not idle devices.
+    EXPECT_GT(arrived, 0u);
+    EXPECT_GT(power_failures, 0u);
 }
 
 TEST(FleetValidation, CohortNeedsExactlyOnePolicySource)

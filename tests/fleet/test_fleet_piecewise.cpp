@@ -2,10 +2,10 @@
  * @file
  * Differential suite for time-varying harvest lanes: seeded random
  * populations whose lanes each view a shared env:: field through a
- * FieldHarvester run through both executors — the lockstep kernel in
- * exact_replay mode and the sim::Device reference (runLaneScalar) —
- * and every op outcome must match bit-for-bit, exactly like the
- * constant-harvest equivalence suite. This is the acceptance gate for
+ * FieldHarvester run through both executors — the lockstep kernel and
+ * the sim::Device reference (runLaneScalar) — and every op outcome
+ * must match bit-for-bit, exactly like the constant-harvest
+ * equivalence suite. This is the acceptance gate for
  * the piecewise-constant threading: macro steps capped at piece
  * boundaries, per-piece harvest refresh, and the constant-only gating
  * of equilibrium Unreachable verdicts must mirror the scalar engine
@@ -143,10 +143,8 @@ void
 runDifferential(const env::HarvestField &field, std::uint64_t seed)
 {
     Population pop = randomPopulation(field, seed, 8);
-    batch::BatchOptions options;
-    options.exact_replay = true;
     const std::vector<batch::LaneResult> kernel =
-        batch::runPopulation(pop.specs, options);
+        batch::runPopulation(pop.specs);
     for (std::size_t l = 0; l < pop.specs.size(); ++l) {
         const batch::LaneResult scalar =
             batch::runLaneScalar(pop.specs[l]);
@@ -195,12 +193,10 @@ TEST(FleetPiecewise, ConstantFieldLaneMatchesPlainHarvestLane)
         spec.harvester = nullptr;
         spec.harvest = Watts(3e-3);
     }
-    batch::BatchOptions options;
-    options.exact_replay = true;
     const std::vector<batch::LaneResult> a =
-        batch::runPopulation(viewed.specs, options);
+        batch::runPopulation(viewed.specs);
     const std::vector<batch::LaneResult> b =
-        batch::runPopulation(plain.specs, options);
+        batch::runPopulation(plain.specs);
     for (std::size_t l = 0; l < a.size(); ++l)
         expectExactMatch(a[l], b[l], baseSeed() + 999, l);
 }

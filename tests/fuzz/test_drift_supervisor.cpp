@@ -217,11 +217,9 @@ TEST(DriftSupervisor, SupervisedSurvivesLifetimeDriftUnsupervisedDoesNot)
            "must absorb the drift without demoting";
     EXPECT_GT(supervisor.marginOf("sense").value(), 0.0);
 
-    if (telemetry::kEnabled) {
-        const std::string jsonl = traceText(sup_tel);
-        EXPECT_TRUE(traceHasKind(jsonl, "drift_alarm"));
-        EXPECT_TRUE(traceHasKind(jsonl, "margin_update"));
-    }
+    const std::string jsonl = traceText(sup_tel);
+    EXPECT_TRUE(traceHasKind(jsonl, "drift_alarm"));
+    EXPECT_TRUE(traceHasKind(jsonl, "margin_update"));
 }
 
 /**
@@ -313,13 +311,11 @@ TEST(DriftSupervisor, AbruptAgingShedsProbesAndKeepsTheLightTaskAlive)
               unsupervised.eventStats("beacon").captureRate());
 
     // Every decision is in the exported trace.
-    if (telemetry::kEnabled) {
-        const std::string jsonl = traceText(sup_tel);
-        EXPECT_TRUE(traceHasKind(jsonl, "task_retry"));
-        EXPECT_TRUE(traceHasKind(jsonl, "task_shed"));
-        EXPECT_TRUE(traceHasKind(jsonl, "task_readmit"));
-        EXPECT_TRUE(traceHasKind(jsonl, "margin_update"));
-    }
+    const std::string jsonl = traceText(sup_tel);
+    EXPECT_TRUE(traceHasKind(jsonl, "task_retry"));
+    EXPECT_TRUE(traceHasKind(jsonl, "task_shed"));
+    EXPECT_TRUE(traceHasKind(jsonl, "task_readmit"));
+    EXPECT_TRUE(traceHasKind(jsonl, "margin_update"));
 }
 
 /**

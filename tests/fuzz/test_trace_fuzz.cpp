@@ -264,13 +264,11 @@ TEST(TraceFuzz, MutatedFilesAlwaysLandInTheDeclaredRecoveryMode)
         // anything was repaired.
         const bool corrupted = r->stats().corrupted();
         EXPECT_EQ(!r->stats().errors.empty(), corrupted) << where;
-        if (telemetry::kEnabled) {
-            const std::uint64_t counted =
-                sink.registry()
-                    .counter(telemetry::names::kTraceCorruption)
-                    .value();
-            EXPECT_EQ(counted != 0, corrupted) << where;
-        }
+        const std::uint64_t counted =
+            sink.registry()
+                .counter(telemetry::names::kTraceCorruption)
+                .value();
+        EXPECT_EQ(counted != 0, corrupted) << where;
         exerciseSurvivor(*r);
     }
     // The mutator must exercise both outcomes, or the suite is

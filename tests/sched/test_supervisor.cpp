@@ -335,9 +335,6 @@ TEST(Supervisor, ResetForgetsEverything)
 
 TEST(Supervisor, TelemetryMirrorsStatsAndTracesDecisions)
 {
-    if (!telemetry::kEnabled)
-        GTEST_SKIP() << "built with CULPEO_TELEMETRY=OFF";
-
     SupervisorOptions opts;
     opts.retry_budget = 0;
     Supervisor sup(opts);

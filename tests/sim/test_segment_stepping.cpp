@@ -297,9 +297,7 @@ TEST(SegmentStepping, ChargerCutoffChatterOnExactBatchLane)
 {
     const load::CurrentProfile hold(
         "hold", {{Seconds(kCutoffSeconds), Amps(kCutoffLoadA)}});
-    batch::BatchOptions options;
-    options.exact_replay = true;
-    batch::BatchEngine engine(options);
+    batch::BatchEngine engine;
     batch::LaneSpec spec;
     spec.config = sim::capybaraConfig();
     spec.vstart = spec.config.monitor.vhigh;
