@@ -8,8 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "batch/trial_runner.hpp"
@@ -403,6 +408,29 @@ BM_UArchTick(benchmark::State &state)
 BENCHMARK(BM_UArchTick);
 
 /**
+ * A .ctrace path under /tmp named for this process, so concurrent bench
+ * runs never overwrite each other's inputs. The file is removed when
+ * the process exits.
+ */
+std::string
+benchTracePath(const std::string &stem)
+{
+    struct Created
+    {
+        std::vector<std::string> paths;
+        ~Created()
+        {
+            for (const std::string &path : paths)
+                std::remove(path.c_str());
+        }
+    };
+    static Created created;
+    created.paths.push_back("/tmp/" + stem + "-" +
+                            std::to_string(::getpid()) + ".ctrace");
+    return created.paths.back();
+}
+
+/**
  * A varying indoor-solar sky recorded to a temp .ctrace once per
  * process: 8 Hz over 32 s with 1 s cloud pieces, sized so its mean
  * power matches the Periodic Sensing app's 1.2 mW design point. Both
@@ -424,7 +452,7 @@ recordedSkyPath()
         const env::SolarDiurnalField field(solar);
         const env::TraceData data = env::recordField(
             field, env::Position{}, Seconds(32.0), Hertz(8.0));
-        std::string p = "/tmp/culpeo_bench_sky.ctrace";
+        std::string p = benchTracePath("culpeo_bench_sky");
         if (!env::writeTrace(p, data).ok())
             std::abort();
         return p;
@@ -452,7 +480,7 @@ BM_TraceDecode(benchmark::State &state)
                                      1e-4 * std::sin(double(i) * 0.01));
             data.voltage_v.push_back(3.0);
         }
-        std::string p = "/tmp/culpeo_bench_decode.ctrace";
+        std::string p = benchTracePath("culpeo_bench_decode");
         if (!env::writeTrace(p, data).ok())
             std::abort();
         return p;

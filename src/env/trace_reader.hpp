@@ -98,6 +98,16 @@ struct TraceReadOptions
  */
 class TraceReader
 {
+    /** A run of samples as three parallel columns. */
+    struct BlockRef
+    {
+        std::size_t first = 0; ///< Global index of the block's sample 0.
+        std::size_t count = 0;
+        const double *time = nullptr;
+        const double *current = nullptr;
+        const double *voltage = nullptr;
+    };
+
   public:
     /** Decode @p path under @p options; see the file comment. */
     static util::Expected<TraceReader, TraceError>
@@ -105,6 +115,12 @@ class TraceReader
 
     /** Wrap an in-memory series (tests, benches, recorder output). */
     static TraceReader fromData(TraceData data);
+
+    /** Move-only: the block refs point into the mapping or owned_. */
+    TraceReader(TraceReader &&) noexcept = default;
+    TraceReader &operator=(TraceReader &&) noexcept = default;
+    TraceReader(const TraceReader &) = delete;
+    TraceReader &operator=(const TraceReader &) = delete;
 
     /** One decoded sample. */
     struct Sample
@@ -115,6 +131,44 @@ class TraceReader
 
         double power_w() const { return current_a * voltage_v; }
     };
+
+    /**
+     * Forward walk over the samples in index order. next() reads the
+     * columns in place and hops to the next block at a block's end, so
+     * a full pass costs no per-sample search (sampleAt() runs one).
+     * Valid while its reader lives and is not moved.
+     */
+    class Cursor
+    {
+      public:
+        /** Samples not yet returned by next(). */
+        std::size_t remaining() const { return remaining_; }
+
+        /** The next sample; call only while remaining() != 0. */
+        Sample next()
+        {
+            if (local_ == block_->count) {
+                ++block_;
+                local_ = 0;
+            }
+            const std::size_t k = local_++;
+            --remaining_;
+            return {block_->time[k], block_->current[k] * current_scale_,
+                    block_->voltage[k] * voltage_scale_};
+        }
+
+      private:
+        friend class TraceReader;
+
+        const BlockRef *block_ = nullptr;
+        std::size_t local_ = 0;
+        std::size_t remaining_ = 0;
+        double current_scale_ = 1.0;
+        double voltage_scale_ = 1.0;
+    };
+
+    /** A cursor positioned at sample 0. */
+    Cursor cursor() const;
 
     /** Samples that survived recovery (>= 1 on a successful open). */
     std::size_t size() const { return size_; }
@@ -136,25 +190,21 @@ class TraceReader
     RecoveryMode mode() const { return mode_; }
 
     /** True while replay reads straight from the mapping. */
-    bool zeroCopy() const { return !use_owned_; }
+    bool zeroCopy() const { return map_.has_value(); }
 
   private:
-    /** A clean block's columns inside the mapping. */
-    struct BlockRef
-    {
-        std::size_t first = 0; ///< Global index of the block's sample 0.
-        std::size_t count = 0;
-        const double *time = nullptr;
-        const double *current = nullptr;
-        const double *voltage = nullptr;
-    };
-
     TraceReader() = default;
 
+    /** Serve owned_ as one block (the materialized path). */
+    void adoptOwned();
+
     std::optional<MappedFile> map_;
-    std::vector<BlockRef> blocks_; ///< Zero-copy path (clean blocks).
-    TraceData owned_;              ///< Materialized path (repairs).
-    bool use_owned_ = false;
+    /**
+     * Every readable sample: clean blocks inside the mapping on the
+     * zero-copy path, or one block over owned_ once materialized.
+     */
+    std::vector<BlockRef> blocks_;
+    TraceData owned_; ///< Materialized path (repairs, in-memory data).
     std::size_t size_ = 0;
     Hertz sample_rate_{1.0};
     /** Header unit scales, applied on the zero-copy read path (the

@@ -20,6 +20,7 @@
 #ifndef CULPEO_TELEMETRY_TRACE_LOG_HPP
 #define CULPEO_TELEMETRY_TRACE_LOG_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -56,6 +57,16 @@ enum class EventKind : std::uint8_t {
 
 /** Stable lowercase-snake name for @p kind (serialization). */
 const char *eventKindName(EventKind kind);
+
+/** Buffer size formatNumber() needs ("-1.23456789e-308" is 16 chars). */
+inline constexpr std::size_t kMaxNumberChars = 32;
+
+/**
+ * Write @p v into @p out (kMaxNumberChars bytes) exactly as printf's
+ * "%.9g" does in the C locale: nine significant digits, stable for
+ * goldens. Returns one past the last character written.
+ */
+char *formatNumber(char *out, double v);
 
 /** One trace point. Plain data; 32 bytes. */
 struct TraceEvent {
@@ -115,13 +126,19 @@ class TraceLog
      */
     void append(const TraceLog &other);
 
-    /** One JSON object per line, oldest first. */
+    /**
+     * One JSON object per line, oldest first. The export holds the
+     * log's lock throughout and writes to @p out in bounded chunks.
+     */
     void writeJsonl(std::ostream &out) const;
 
-    /** CSV with a header row, oldest first. */
+    /** CSV with a header row, oldest first; locking as writeJsonl(). */
     void writeCsv(std::ostream &out) const;
 
   private:
+    /** Call @p fn on each retained event, oldest first. */
+    template <typename Fn>
+    void forEachLocked(Fn &&fn) const;
     std::vector<TraceEvent> eventsLocked() const;
     void recordLocked(const TraceEvent &event);
 

@@ -151,6 +151,41 @@ TEST(TraceFieldContract, FlatTraceReportsConstantPower)
     EXPECT_DOUBLE_EQ(constant->value(), 3e-3);
 }
 
+TEST(TraceFieldContract, FlatMultiBlockFileReportsConstantPower)
+{
+    // A zero-copy file whose flat power spans several blocks; the walk
+    // must cross every block boundary to prove the power constant.
+    env::TraceData data;
+    data.sample_rate = Hertz(4.0);
+    for (int i = 0; i < 30; ++i) {
+        data.time_s.push_back(double(i) * 0.25);
+        data.current_a.push_back(2e-3);
+        data.voltage_v.push_back(1.5);
+    }
+    const std::string path = tempPath("trace_flat_blocks.ctrace");
+    env::TraceWriteOptions options;
+    options.block_samples = 4;
+    ASSERT_TRUE(env::writeTrace(path, data, options).ok());
+    const util::Expected<env::TraceField, env::TraceError> field =
+        env::TraceField::open(path);
+    ASSERT_TRUE(field.ok()) << field.error().message();
+    ASSERT_TRUE(field->reader().zeroCopy());
+    EXPECT_EQ(field->stats().blocks_total, 8U);
+    const std::optional<Watts> constant =
+        field->constantPower(env::Position{});
+    ASSERT_TRUE(constant.has_value());
+    EXPECT_EQ(constant->value(), 2e-3 * 1.5);
+
+    // One differing sample in the last block clears it.
+    data.current_a.back() = 2.5e-3;
+    const std::string varied_path = tempPath("trace_varied_blocks.ctrace");
+    ASSERT_TRUE(env::writeTrace(varied_path, data, options).ok());
+    const util::Expected<env::TraceField, env::TraceError> varied =
+        env::TraceField::open(varied_path);
+    ASSERT_TRUE(varied.ok()) << varied.error().message();
+    EXPECT_FALSE(varied->constantPower(env::Position{}).has_value());
+}
+
 TEST(TraceFieldContract, RecordFieldCapturesPiecewiseSkyExactly)
 {
     const env::SolarDiurnalField sky(testSolar());

@@ -1,10 +1,11 @@
 /**
  * @file
  * Format-level suite for the harvest-trace container (DESIGN.md §18):
- * writer/reader round trip, the full malformed-input taxonomy, the
- * three recovery modes with their TraceStats accounting and telemetry
- * side channel, the streaming downsampler, and the checked-in corrupt
- * fixture corpus under tests/data/traces/.
+ * the CRC-32, writer/reader round trip, the full malformed-input
+ * taxonomy, the three recovery modes with their TraceStats accounting
+ * and telemetry side channel, the sequential sample walk and the
+ * streaming downsampler, and the checked-in corrupt fixture corpus
+ * under tests/data/traces/.
  *
  * The fixtures are deterministic byte edits of one generated valid
  * trace, so the corpus is reproducible: running this binary with
@@ -15,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -22,6 +25,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "env/trace.hpp"
 #include "env/trace_reader.hpp"
@@ -204,6 +208,78 @@ const Fixture kFixtures[] = {
     {"nan_sample.ctrace", nanAdapter},
     {"nonmono.ctrace", nonmonoAdapter},
 };
+
+/**
+ * The bytewise CRC-32 the slicing-by-8 implementation must reproduce:
+ * one table lookup per byte, same reflected polynomial, seed handling
+ * and final XOR.
+ */
+std::uint32_t
+bytewiseCrc32(const unsigned char *bytes, std::size_t size,
+              std::uint32_t seed = 0)
+{
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+        table[i] = c;
+    }
+    std::uint32_t crc = seed ^ 0xFFFFFFFFU;
+    for (std::size_t i = 0; i < size; ++i)
+        crc = table[(crc ^ bytes[i]) & 0xFFU] ^ (crc >> 8);
+    return crc ^ 0xFFFFFFFFU;
+}
+
+/** Deterministic pseudo-random bytes (a 64-bit LCG's high byte). */
+std::vector<unsigned char>
+noiseBytes(std::size_t size)
+{
+    std::vector<unsigned char> bytes(size);
+    std::uint64_t state = 0x2545F4914F6CDD1DULL;
+    for (unsigned char &b : bytes) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        b = static_cast<unsigned char>(state >> 56);
+    }
+    return bytes;
+}
+
+TEST(TraceCrc, KnownAnswer)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(env::crc32(check, 9), 0xCBF43926U);
+    EXPECT_EQ(env::crc32(check, 0), 0U);
+}
+
+TEST(TraceCrc, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    const std::vector<unsigned char> bytes = noiseBytes(12 * 1024 + 8);
+    for (std::size_t size = 0; size <= 100; ++size)
+        EXPECT_EQ(env::crc32(bytes.data(), size),
+                  bytewiseCrc32(bytes.data(), size))
+            << "length " << size;
+    for (std::size_t start = 0; start < 8; ++start)
+        EXPECT_EQ(env::crc32(bytes.data() + start, 12 * 1024),
+                  bytewiseCrc32(bytes.data() + start, 12 * 1024))
+            << "start offset " << start;
+}
+
+TEST(TraceCrc, ChainsAcrossSplits)
+{
+    const std::vector<unsigned char> bytes = noiseBytes(1000);
+    const std::uint32_t whole = env::crc32(bytes.data(), bytes.size());
+    for (const std::size_t split : {0, 1, 7, 8, 9, 500, 993, 1000}) {
+        const std::uint32_t head = env::crc32(bytes.data(), split);
+        EXPECT_EQ(env::crc32(bytes.data() + split, bytes.size() - split,
+                             head),
+                  whole)
+            << "split " << split;
+        EXPECT_EQ(bytewiseCrc32(bytes.data() + split,
+                                bytes.size() - split, head),
+                  whole)
+            << "split " << split;
+    }
+}
 
 TEST(TraceRoundTrip, WriteThenReadIsExact)
 {
@@ -573,6 +649,137 @@ TEST(TraceDownsample, MeansBinsAndKeepsFirstTimestamp)
     for (std::size_t i = 60; i < 64; ++i)
         mean += src.current_a[i];
     EXPECT_DOUBLE_EQ(tail.current_a[1], mean / 4.0);
+}
+
+/** downsample() as it was defined: a sampleAt() per input sample. */
+env::TraceData
+downsampleBySampleAt(const env::TraceReader &reader, unsigned factor)
+{
+    env::TraceData out;
+    out.sample_rate = Hertz(reader.sampleRate().value() / double(factor));
+    const std::size_t n = reader.size();
+    for (std::size_t i = 0; i < n; i += factor) {
+        const std::size_t bin = std::min<std::size_t>(factor, n - i);
+        double current = 0.0;
+        double voltage = 0.0;
+        for (std::size_t k = 0; k < bin; ++k) {
+            current += reader.sampleAt(i + k).current_a;
+            voltage += reader.sampleAt(i + k).voltage_v;
+        }
+        out.time_s.push_back(reader.timeAt(i));
+        out.current_a.push_back(current / double(bin));
+        out.voltage_v.push_back(voltage / double(bin));
+    }
+    return out;
+}
+
+/** Columns equal bit for bit (EXPECT_EQ on doubles is exact). */
+void
+expectSameSeries(const env::TraceData &got, const env::TraceData &want)
+{
+    EXPECT_EQ(got.sample_rate.value(), want.sample_rate.value());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.time_s[i], want.time_s[i]) << i;
+        EXPECT_EQ(got.current_a[i], want.current_a[i]) << i;
+        EXPECT_EQ(got.voltage_v[i], want.voltage_v[i]) << i;
+    }
+}
+
+/** Irregular values, so a bin's sum depends on its summation order. */
+env::TraceData
+noisySeries(std::size_t n)
+{
+    env::TraceData data;
+    data.sample_rate = Hertz(10.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        data.time_s.push_back(double(i) * 0.1);
+        data.current_a.push_back(1e-3 * (1.0 + std::sin(double(i) * 0.7)));
+        data.voltage_v.push_back(3.0 + 0.1 * std::cos(double(i) * 1.3));
+    }
+    return data;
+}
+
+TEST(TraceWalk, CursorVisitsEverySampleInOrderAcrossBlocks)
+{
+    // Block 1 is dropped, so the zero-copy blocks are not contiguous.
+    const std::string path = tempPath("trace_walk_gap.ctrace");
+    writeFileBytes(path, crcFlipBytes(validBytes()));
+    env::TraceReadOptions options;
+    options.mode = env::RecoveryMode::Skip;
+    const util::Expected<env::TraceReader, env::TraceError> r =
+        env::TraceReader::open(path, options);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    ASSERT_TRUE(r->zeroCopy());
+    env::TraceReader::Cursor cursor = r->cursor();
+    EXPECT_EQ(cursor.remaining(), r->size());
+    for (std::size_t i = 0; i < r->size(); ++i) {
+        const env::TraceReader::Sample want = r->sampleAt(i);
+        const env::TraceReader::Sample got = cursor.next();
+        EXPECT_EQ(got.time_s, want.time_s) << i;
+        EXPECT_EQ(got.current_a, want.current_a) << i;
+        EXPECT_EQ(got.voltage_v, want.voltage_v) << i;
+    }
+    EXPECT_EQ(cursor.remaining(), 0U);
+}
+
+TEST(TraceWalk, ZeroCopyDownsampleMatchesSampleAtReference)
+{
+    // 7-sample blocks against 5-sample bins: bins straddle block
+    // boundaries, and 38 = 7 * 5 + 3 leaves a partial last bin.
+    const env::TraceData data = noisySeries(38);
+    const std::string path = tempPath("trace_walk_blocks.ctrace");
+    env::TraceWriteOptions write;
+    write.block_samples = 7;
+    ASSERT_TRUE(env::writeTrace(path, data, write).ok());
+    const util::Expected<env::TraceReader, env::TraceError> r =
+        env::TraceReader::open(path);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    ASSERT_TRUE(r->zeroCopy());
+    EXPECT_EQ(r->stats().blocks_total, 6U);
+
+    const env::TraceData down = env::downsample(*r, 5);
+    EXPECT_EQ(down.size(), 8U);
+    expectSameSeries(down, downsampleBySampleAt(*r, 5));
+}
+
+TEST(TraceWalk, HeaderUnitScalesApplyOnEveryReadPath)
+{
+    std::string bytes = validBytes();
+    patchF64(bytes, 16, 2.0); // current_scale
+    patchF64(bytes, 24, 0.5); // voltage_scale
+    patchU32(bytes, 60, env::crc32(bytes.data(), 60));
+    const std::string path = tempPath("trace_walk_scaled.ctrace");
+    writeFileBytes(path, bytes);
+    const util::Expected<env::TraceReader, env::TraceError> r =
+        env::TraceReader::open(path);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    ASSERT_TRUE(r->zeroCopy());
+    const env::TraceData series = fixtureSeries();
+    env::TraceReader::Cursor cursor = r->cursor();
+    for (std::size_t i = 0; i < r->size(); ++i) {
+        const env::TraceReader::Sample s = cursor.next();
+        EXPECT_EQ(s.current_a, series.current_a[i] * 2.0) << i;
+        EXPECT_EQ(s.voltage_v, series.voltage_v[i] * 0.5) << i;
+        EXPECT_EQ(r->sampleAt(i).current_a, s.current_a) << i;
+        EXPECT_EQ(r->sampleAt(i).voltage_v, s.voltage_v) << i;
+    }
+    expectSameSeries(env::downsample(*r, 5), downsampleBySampleAt(*r, 5));
+}
+
+TEST(TraceWalk, RepairedDownsampleMatchesSampleAtReference)
+{
+    const std::string path = tempPath("trace_walk_clamp.ctrace");
+    writeFileBytes(path, nanSampleBytes(validBytes()));
+    env::TraceReadOptions options;
+    options.mode = env::RecoveryMode::Clamp;
+    const util::Expected<env::TraceReader, env::TraceError> r =
+        env::TraceReader::open(path, options);
+    ASSERT_TRUE(r.ok()) << r.error().message();
+    ASSERT_FALSE(r->zeroCopy());
+    for (const unsigned factor : {1U, 5U, 7U, 64U, 100U})
+        expectSameSeries(env::downsample(*r, factor),
+                         downsampleBySampleAt(*r, factor));
 }
 
 TEST(TraceFixtures, CheckedInCorpusMatchesGenerator)

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "telemetry/trace_log.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -118,6 +125,151 @@ TEST(TraceLog, JsonlFormatIsStable)
     log.writeCsv(csv);
     EXPECT_EQ(csv.str().substr(0, csv.str().find('\n')),
               "t,trial,kind,name,v,value,flag");
+    EXPECT_EQ(csv.str(), "t,trial,kind,name,v,value,flag\n"
+                         "1.5,0,task_start,imu,2.25,1,0\n"
+                         "1.625,2,task_end,imu,2,1.9375,1\n"
+                         "2,0,brown_out,,0,0,0\n");
+
+    // JSONL escapes a label's quotes and backslashes; CSV writes the
+    // label as it is.
+    TraceLog quoted(2);
+    TraceEvent said =
+        at(0.25, EventKind::TaskStart, quoted.intern("say \"hi\" \\ bye"));
+    said.value = 0.1F;
+    quoted.record(said);
+    std::ostringstream quoted_jsonl;
+    quoted.writeJsonl(quoted_jsonl);
+    EXPECT_EQ(quoted_jsonl.str(),
+              "{\"t\":0.25,\"trial\":0,\"kind\":\"task_start\","
+              "\"name\":\"say \\\"hi\\\" \\\\ bye\",\"v\":0,"
+              "\"value\":0.100000001,\"flag\":false}\n");
+    std::ostringstream quoted_csv;
+    quoted.writeCsv(quoted_csv);
+    EXPECT_EQ(quoted_csv.str(), "t,trial,kind,name,v,value,flag\n"
+                                "0.25,0,task_start,say \"hi\" \\ bye,0,"
+                                "0.100000001,0\n");
+}
+
+TEST(TraceLog, ExportOfWrappedRingIsOldestFirst)
+{
+    TraceLog log(4);
+    for (int i = 0; i < 6; ++i)
+        log.record(at(double(i), EventKind::BrownOut));
+    std::ostringstream csv;
+    log.writeCsv(csv);
+    EXPECT_EQ(csv.str(), "t,trial,kind,name,v,value,flag\n"
+                         "2,0,brown_out,,0,0,0\n"
+                         "3,0,brown_out,,0,0,0\n"
+                         "4,0,brown_out,,0,0,0\n"
+                         "5,0,brown_out,,0,0,0\n");
+}
+
+TEST(TraceLog, ExportLargerThanOneChunkIsComplete)
+{
+    // About 400 KB of JSONL: the exporter's bounded buffer is flushed
+    // several times, and every line must still arrive once, in order.
+    TraceLog log(8192);
+    const std::uint32_t name = log.intern(std::string(300, 'x'));
+    for (int i = 0; i < 1000; ++i) {
+        TraceEvent event = at(double(i) + 0.5, EventKind::TaskEnd, name);
+        event.trial = std::uint32_t(i);
+        log.record(event);
+    }
+    std::ostringstream out;
+    log.writeJsonl(out);
+    std::istringstream lines(out.str());
+    std::string line;
+    int count = 0;
+    while (std::getline(lines, line)) {
+        const std::string head = "{\"t\":" + std::to_string(count) +
+                                 ".5,\"trial\":" + std::to_string(count) +
+                                 ",";
+        EXPECT_EQ(line.compare(0, head.size(), head), 0) << line;
+        EXPECT_EQ(line.back(), '}');
+        ++count;
+    }
+    EXPECT_EQ(count, 1000);
+}
+
+TEST(TraceLog, ExportUnderConcurrentRecordsIsAnOrderedPrefix)
+{
+    // The export holds the log's lock throughout, so each export is a
+    // snapshot: complete lines, oldest first, with no gaps.
+    TraceLog log(std::size_t(1) << 16);
+    const std::uint32_t name = log.intern("imu");
+    std::thread recorder([&] {
+        for (int i = 0; i < 20000; ++i)
+            log.record(at(double(i), EventKind::TaskStart, name));
+    });
+    for (int round = 0; round < 20; ++round) {
+        std::ostringstream out;
+        log.writeJsonl(out);
+        std::istringstream lines(out.str());
+        std::string line;
+        int count = 0;
+        while (std::getline(lines, line)) {
+            const std::string head =
+                "{\"t\":" + std::to_string(count) + ",";
+            ASSERT_EQ(line.compare(0, head.size(), head), 0) << line;
+            ASSERT_EQ(line.back(), '}');
+            ++count;
+        }
+    }
+    recorder.join();
+}
+
+std::string
+printf9g(double v)
+{
+    char text[64];
+    std::snprintf(text, sizeof text, "%.9g", v);
+    return text;
+}
+
+std::string
+formatted(double v)
+{
+    char text[telemetry::kMaxNumberChars];
+    return std::string(text, telemetry::formatNumber(text, v));
+}
+
+TEST(TraceLog, NumberFormatMatchesPrintf9g)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double edges[] = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1.5, 2.25, 1e-4, 1e-5, 9.9999e-5,
+        123456789.0, 1234567890.0, 999999999.5, 9.999999995, 0.5e-300,
+        1e21, 1e22, -3.0e-7, double(0.1F), double(2.2F),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        double(std::numeric_limits<float>::min()),
+        double(std::numeric_limits<float>::denorm_min()),
+        double(std::numeric_limits<float>::max()),
+        kInf, -kInf, nan, -nan,
+    };
+    for (const double v : edges)
+        EXPECT_EQ(formatted(v), printf9g(v)) << printf9g(v);
+
+    // Seeded sweep: raw double and float bit patterns (every exponent,
+    // subnormals and NaN payloads included) and simulation-scale
+    // values like the ones telemetry records.
+    util::Rng rng(20261017);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double as_double = 0.0;
+        std::memcpy(&as_double, &bits, sizeof as_double);
+        const auto bits32 = std::uint32_t(bits >> 32);
+        float as_float = 0.0F;
+        std::memcpy(&as_float, &bits32, sizeof as_float);
+        const double scaled = rng.uniform(0.0, 600.0);
+        for (const double v :
+             {as_double, double(as_float), scaled, double(float(scaled))})
+            ASSERT_EQ(formatted(v), printf9g(v)) << printf9g(v);
+    }
 }
 
 TEST(TraceLog, EventKindNamesAreStable)
