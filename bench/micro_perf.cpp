@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "apps/apps.hpp"
-#include "batch/trial_runner.hpp"
 #include "core/api.hpp"
 #include "core/vsafe_pg.hpp"
 #include "env/field.hpp"
@@ -256,39 +255,10 @@ BM_RunTrial_telemetry(benchmark::State &state)
 BENCHMARK(BM_RunTrial_telemetry)->Unit(benchmark::kMillisecond);
 
 /**
- * The same Figure 12-style trial through the SoA batch sweep executor
- * (batch::BatchTrialRunner), 32 independently seeded trials per timed
- * iteration. Items are trials, so the reported items/sec is directly
- * comparable against 1 / BM_RunTrial's per-iteration time — that ratio
- * is the batch engine's per-trial speedup on one core; ThreadPool
- * sharding multiplies it by the core count on wider machines. The
- * engine replays the scalar engine bit-for-bit; the exact:1 argument
- * only keeps the recorded benchmark name (and its regression pair)
- * stable.
- */
-void
-BM_BatchRunTrial(benchmark::State &state)
-{
-    const sched::AppSpec app = apps::periodicSensing();
-    sched::CulpeoPolicy policy;
-    policy.initialize(app);
-    sched::TrialConfig config;
-    config.duration = Seconds(30.0);
-    config.seed = 7;
-    config.trials = 32;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(batch::runTrialsBatch(app, policy, config));
-    state.SetItemsProcessed(int64_t(state.iterations()) * config.trials);
-}
-BENCHMARK(BM_BatchRunTrial)
-    ->Arg(1)
-    ->ArgName("exact")
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The scalar sweep over the identical 32 trials — the direct
- * apples-to-apples baseline for BM_BatchRunTrial (same arrival
- * streams, same aggregation, same ThreadPool sharding policy).
+ * A 32-trial sweep of the same Figure 12-style trial through
+ * sched::runTrialsWith, the path TrialBuilder::runAll takes: a
+ * stationary policy runs the trials in parallel on the shared pool.
+ * Items are trials.
  */
 void
 BM_ScalarRunTrials(benchmark::State &state)
@@ -309,10 +279,11 @@ BENCHMARK(BM_ScalarRunTrials)->Unit(benchmark::kMillisecond);
 /**
  * Fleet-scale population throughput and its thread scaling: one fixed
  * 96-device, two-cohort population under a seeded solar-diurnal field,
- * sharded over a private pool of 1/2/4 participants. Items/sec counts
- * simulated device-trials, so threads:1 vs threads:N is the pure
- * shard-parallel speedup of fleet::runFleet (the population itself is
- * identical — and bit-identical in output — across thread counts).
+ * run one device per pool item on a private pool of 1/2/4
+ * participants. Items/sec counts simulated device-trials, so threads:1
+ * vs threads:N is the pure parallel speedup of fleet::runFleet (the
+ * population itself is identical — and bit-identical in output —
+ * across thread counts).
  */
 void
 BM_FleetStep(benchmark::State &state)
@@ -350,7 +321,6 @@ BM_FleetStep(benchmark::State &state)
 
     util::ThreadPool pool(threads);
     fleet::FleetOptions options;
-    options.shard_devices = 8; // 12 shards: work for every pool size.
     options.pool = &pool;
 
     for (auto _ : state) {

@@ -86,14 +86,7 @@ if trial_fast and trial_tel:
     overhead = (trial_tel / trial_fast - 1.0) * 100.0
     print(f"telemetry overhead on the analytic trial: {overhead:+.1f}% "
           f"(target < 5%)")
-# Batch sweep executor: per-trial comparison against the scalar sweep
-# (both run 32 trials per iteration, so raw times divide out).
-scalar_sweep = times.get("BM_ScalarRunTrials")
-batch = times.get("BM_BatchRunTrial/exact:1")
-if scalar_sweep and batch:
-    print(f"batch sweep speedup (vs scalar, per trial): "
-          f"{scalar_sweep / batch:.2f}x")
-# Fleet shard-parallel scaling: wall-clock ratio of the same
+# Fleet parallel scaling: wall-clock ratio of the same
 # population under pools of 1 vs N participants.
 fleet_one = times.get("BM_FleetStep/threads:1/real_time")
 for threads in (2, 4):

@@ -7,9 +7,9 @@
  * Responsive Reporting under the energy-only CatNap baseline — are
  * scattered over a 200 m x 200 m deployment with per-device
  * capacitance and ESR spread. Every device runs a full scheduler
- * trial on a batch::BatchEngine lane, sharded across the thread
- * pool, and the population summary (capture rates, brown-outs,
- * per-cohort breakdown) lands on stdout plus fleet_summary.csv /
+ * trial on its own sim::Device, one device per thread-pool item, and
+ * the population summary (capture rates, brown-outs, per-cohort
+ * breakdown) lands on stdout plus fleet_summary.csv /
  * fleet_summary.jsonl.
  *
  *     fleet_demo [devices] [duration_s] [seed]

@@ -7,12 +7,12 @@
  * and every generator is *piecewise constant in time*: power is held
  * fixed over [t, constantUntil(pos, t)) with a strictly positive
  * piece length. That contract is what lets per-device FieldHarvester
- * views ride the analytic segment stepper and the SoA batch kernel
+ * views ride the analytic segment stepper
  * (Harvester::piecewiseConstant): macro steps are capped at the piece
  * boundary and each piece is a constant-harvest regime.
  *
  * Fields are immutable after construction and sampled concurrently
- * from fleet shards, so all sampling is const and derives any noise
+ * by fleet devices, so all sampling is const and derives any noise
  * deterministically from (seed, cell, piece index) — never from
  * mutable state.
  */
@@ -127,7 +127,7 @@ struct SolarConfig
  * day, multiplied by per-cell static shading and per-(cell, piece)
  * cloud attenuation. Both noise terms hash (seed, cell, piece) so the
  * field is a pure function of its config — byte-reproducible across
- * runs and shard layouts.
+ * runs and pool sizes.
  */
 class SolarDiurnalField : public HarvestField
 {
@@ -182,7 +182,7 @@ class KineticBurstField : public HarvestField
 /**
  * One device's view of a field: a sim::Harvester sampling the field
  * at a fixed position. Declares itself piecewise constant, so
- * PowerSystem's analytic stepper and BatchEngine lanes accept it; a
+ * PowerSystem's analytic stepper accepts it; a
  * field that is constant at the position also reports constantPower,
  * keeping equilibrium Unreachable verdicts for constant scenarios.
  * Borrows the field (the Fleet/TrialBuilder owner keeps it alive).

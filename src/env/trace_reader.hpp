@@ -4,8 +4,8 @@
  * an mmap'd zero-copy TraceReader whose decoder treats every byte of
  * input as hostile, a streaming downsampler, and TraceField — the
  * env::HarvestField adapter that replays a recorded trace through the
- * same piecewise-constant seam the parametric skies use, so scalar
- * sim::Device lanes, the SoA batch engine, and fleet shards all see
+ * same piecewise-constant seam the parametric skies use, so single
+ * trials, sweeps and fleet devices (all on sim::Device) see
  * bit-identical harvest without any engine changes.
  *
  * Decoder contract (the trace-corruption fuzzer enforces all three):
@@ -27,7 +27,7 @@
  * format construction). Sample-level repairs (clamped values,
  * dropped samples) materialize an owned, recovered copy instead;
  * zeroCopy() reports which path is live. Readers are immutable after
- * open and safe to sample from concurrent fleet shards.
+ * open and safe to sample from concurrent fleet devices.
  */
 
 #ifndef CULPEO_ENV_TRACE_READER_HPP

@@ -7,7 +7,7 @@
 #include <ostream>
 #include <utility>
 
-#include "batch/trial_driver.hpp"
+#include "sched/engine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -37,7 +37,7 @@ num(double v)
 }
 
 void
-validate(const FleetSpec &spec, const FleetOptions &options)
+validate(const FleetSpec &spec)
 {
     log::fatalIf(spec.field == nullptr, "FleetSpec::field is required");
     log::fatalIf(spec.devices == 0, "fleet needs at least one device");
@@ -52,6 +52,15 @@ validate(const FleetSpec &spec, const FleetOptions &options)
                      "cohort '", c.name,
                      "' sets both policy and policy_name; pick one");
         log::fatalIf(c.weight <= 0.0, "cohort weights must be positive");
+        // Devices share one instance concurrently and feed it their
+        // outcomes; only a stationary policy keeps that order-free.
+        const bool stationary =
+            c.policy != nullptr
+                ? c.policy->stationary()
+                : sched::makePolicy(c.policy_name)->stationary();
+        log::fatalIf(!stationary, "cohort '", c.name,
+                     "' needs a stationary policy: fleet devices share "
+                     "one policy instance");
         total_weight += c.weight;
     }
     log::fatalIf(total_weight <= 0.0, "cohort weights must sum > 0");
@@ -64,8 +73,6 @@ validate(const FleetSpec &spec, const FleetOptions &options)
     log::fatalIf(spec.extent <= 0.0, "fleet extent must be positive");
     log::fatalIf(spec.duration.value() <= 0.0,
                  "fleet duration must be positive");
-    log::fatalIf(options.shard_devices == 0,
-                 "fleet shard_devices must be >= 1");
 }
 
 } // namespace
@@ -74,8 +81,8 @@ DeviceRecord
 sampleDevice(const FleetSpec &spec, std::size_t index)
 {
     log::fatalIf(spec.cohorts.empty(), "fleet needs at least one cohort");
-    // Keyed on (seed, index) only — never the shard layout — so the
-    // same device is sampled identically under any sharding.
+    // Keyed on (seed, index) only — never the pool or run order — so
+    // the same device is sampled identically in every run.
     std::uint64_t s = mix64(spec.seed ^ 0x0f1ee7d071ce5ULL);
     s = mix64(s ^ static_cast<std::uint64_t>(index));
     util::Rng rng(s);
@@ -223,12 +230,14 @@ SummaryReport::writeJsonlFile(const std::string &path) const
 SummaryReport
 runFleet(const FleetSpec &spec, const FleetOptions &options)
 {
-    validate(spec, options);
+    validate(spec);
 
     // Registry-named cohorts get an owned instance, initialized here
     // against the cohort's app; instance cohorts are borrowed as-is.
+    // Either way the policy is resolved once at nominal parameters and
+    // shared by every sampled device of its cohort.
     std::vector<std::unique_ptr<sched::Policy>> owned_policies;
-    std::vector<const sched::Policy *> policies(spec.cohorts.size());
+    std::vector<sched::Policy *> policies(spec.cohorts.size());
     for (std::size_t i = 0; i < spec.cohorts.size(); ++i) {
         const Cohort &c = spec.cohorts[i];
         if (c.policy != nullptr) {
@@ -240,107 +249,64 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         policies[i] = owned_policies.back().get();
     }
 
-    // Policy thresholds are design-time artifacts: resolved once per
-    // cohort at nominal parameters, shared by every sampled device.
-    // (PolicyTables rejects non-stationary policies.)
-    sched::TrialConfig config;
-    config.duration = spec.duration;
-    std::vector<batch::PolicyTables> tables;
-    tables.reserve(spec.cohorts.size());
-    for (std::size_t i = 0; i < spec.cohorts.size(); ++i)
-        tables.emplace_back(*spec.cohorts[i].app, *policies[i]);
-
     telemetry::Telemetry *sink = options.telemetry;
 
     struct DeviceRun
     {
         DeviceResult result;
-        std::shared_ptr<telemetry::Telemetry> scratch;
+        std::unique_ptr<telemetry::Telemetry> scratch;
     };
 
-    const std::size_t shard_devices = options.shard_devices;
-    const std::size_t shards =
-        (spec.devices + shard_devices - 1) / shard_devices;
-
-    // One pool item per shard; each shard steps its lanes in lockstep
-    // through one BatchEngine. Lanes are mutually independent (they
-    // share only the immutable field), so results depend only on the
-    // device index, never on the shard layout.
-    const auto runShard = [&](std::size_t s) {
-        const std::size_t d0 = s * shard_devices;
-        const std::size_t d1 = std::min(spec.devices, d0 + shard_devices);
-        std::vector<DeviceRun> runs(d1 - d0);
-        // Reserved up front: lane specs borrow these harvester views by
-        // address, so the vector must never reallocate.
-        std::vector<env::FieldHarvester> views;
-        views.reserve(d1 - d0);
-        std::vector<std::unique_ptr<batch::TrialDriver>> drivers;
-        drivers.reserve(d1 - d0);
-        batch::BatchEngine engine(options.batch);
-        for (std::size_t d = d0; d < d1; ++d) {
-            const DeviceRecord rec = sampleDevice(spec, d);
-            const Cohort &cohort = spec.cohorts[rec.cohort];
-            DeviceRun &run = runs[d - d0];
-            run.result.cohort = rec.cohort;
-            run.result.pos = rec.pos;
-            run.result.cap_scale = rec.cap_scale;
-            run.result.esr_scale = rec.esr_scale;
-            if (sink != nullptr) {
-                run.scratch = std::make_shared<telemetry::Telemetry>(
-                    sink->config());
-                run.scratch->setTrial(std::uint32_t(d));
-            }
-            drivers.push_back(std::make_unique<batch::TrialDriver>(
-                *cohort.app, config, tables[rec.cohort], rec.trial_seed,
-                run.scratch.get()));
-            views.emplace_back(*spec.field, rec.pos);
-
-            batch::LaneSpec lane;
-            lane.config = cohort.app->power;
-            // Heterogeneity scales the nominal part values directly
-            // (the aging knobs capacitance_fraction/esr_multiplier have
-            // their own restricted validity semantics).
-            sim::CapacitorConfig &cap = lane.config.capacitor;
-            cap.capacitance =
-                units::Farads(cap.capacitance.value() * rec.cap_scale);
-            cap.series_esr =
-                units::Ohms(cap.series_esr.value() * rec.esr_scale);
-            cap.bulk_resistance =
-                units::Ohms(cap.bulk_resistance.value() * rec.esr_scale);
-            cap.surface_resistance = units::Ohms(
-                cap.surface_resistance.value() * rec.esr_scale);
-            lane.vstart = lane.config.monitor.vhigh;
-            lane.start_enabled = true;
-            lane.harvester = &views.back();
-            lane.source = drivers.back().get();
-            engine.addLane(lane);
+    // One pool item per device. Devices share only the immutable field
+    // and their cohort's stationary policy, so each result depends on
+    // the device index alone.
+    std::vector<DeviceRun> runs(spec.devices);
+    const auto runDevice = [&](std::size_t d) {
+        const DeviceRecord rec = sampleDevice(spec, d);
+        DeviceRun &run = runs[d];
+        run.result.cohort = rec.cohort;
+        run.result.pos = rec.pos;
+        run.result.cap_scale = rec.cap_scale;
+        run.result.esr_scale = rec.esr_scale;
+        if (sink != nullptr) {
+            run.scratch =
+                std::make_unique<telemetry::Telemetry>(sink->config());
+            run.scratch->setTrial(std::uint32_t(d));
         }
-        engine.run();
-        for (std::size_t d = d0; d < d1; ++d) {
-            DeviceRun &run = runs[d - d0];
-            const sched::TrialResult &trial = drivers[d - d0]->result();
-            for (const sched::EventTypeStats &e : trial.per_event) {
-                run.result.arrived += e.arrived;
-                run.result.captured += e.captured;
-            }
-            run.result.background_runs = trial.background_runs;
-            run.result.power_failures =
-                engine.result(d - d0).power_failures;
-            if (run.scratch != nullptr)
-                run.result.sheds =
-                    unsigned(run.scratch->summary().sheds);
+
+        // Heterogeneity scales the nominal part values directly (the
+        // aging knobs capacitance_fraction/esr_multiplier have their
+        // own restricted validity semantics).
+        sched::AppSpec app = *spec.cohorts[rec.cohort].app;
+        sim::CapacitorConfig &cap = app.power.capacitor;
+        cap.capacitance =
+            units::Farads(cap.capacitance.value() * rec.cap_scale);
+        cap.series_esr = units::Ohms(cap.series_esr.value() * rec.esr_scale);
+        cap.bulk_resistance =
+            units::Ohms(cap.bulk_resistance.value() * rec.esr_scale);
+        cap.surface_resistance =
+            units::Ohms(cap.surface_resistance.value() * rec.esr_scale);
+
+        const env::FieldHarvester view(*spec.field, rec.pos);
+        sched::TrialConfig config;
+        config.duration = spec.duration;
+        config.harvester = &view;
+        const sched::TrialResult trial =
+            sched::runSeededTrial(app, *policies[rec.cohort], config,
+                                  rec.trial_seed, run.scratch.get());
+        for (const sched::EventTypeStats &e : trial.per_event) {
+            run.result.arrived += e.arrived;
+            run.result.captured += e.captured;
         }
-        return runs;
+        run.result.background_runs = trial.background_runs;
+        run.result.power_failures = trial.power_failures;
+        if (run.scratch != nullptr)
+            run.result.sheds = unsigned(run.scratch->summary().sheds);
     };
-
-    std::vector<std::size_t> shard_index(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-        shard_index[s] = s;
     util::ThreadPool &pool = options.pool != nullptr
                                  ? *options.pool
                                  : util::ThreadPool::shared();
-    std::vector<std::vector<DeviceRun>> shard_runs =
-        pool.parallelMap(shard_index, runShard);
+    pool.parallelFor(spec.devices, runDevice);
 
     SummaryReport report;
     report.devices.reserve(spec.devices);
@@ -351,24 +317,22 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
     report.power_failures = Histo(0.0, 16.0, 16);
     report.sheds = Histo(0.0, 16.0, 16);
 
-    // Device-order merge: shard layout cannot reorder anything.
-    for (std::vector<DeviceRun> &runs : shard_runs) {
-        for (DeviceRun &run : runs) {
-            const DeviceResult &d = run.result;
-            CohortSummary &c = report.cohorts[d.cohort];
-            ++c.devices;
-            c.arrived += d.arrived;
-            c.captured += d.captured;
-            c.power_failures += d.power_failures;
-            c.background_runs += d.background_runs;
-            c.sheds += d.sheds;
-            report.capture_rate.add(d.captureRate());
-            report.power_failures.add(double(d.power_failures));
-            report.sheds.add(double(d.sheds));
-            if (run.scratch != nullptr)
-                sink->merge(*run.scratch);
-            report.devices.push_back(std::move(run.result));
-        }
+    // Device-order merge: the pool cannot reorder anything.
+    for (DeviceRun &run : runs) {
+        const DeviceResult &d = run.result;
+        CohortSummary &c = report.cohorts[d.cohort];
+        ++c.devices;
+        c.arrived += d.arrived;
+        c.captured += d.captured;
+        c.power_failures += d.power_failures;
+        c.background_runs += d.background_runs;
+        c.sheds += d.sheds;
+        report.capture_rate.add(d.captureRate());
+        report.power_failures.add(double(d.power_failures));
+        report.sheds.add(double(d.sheds));
+        if (run.scratch != nullptr)
+            sink->merge(*run.scratch);
+        report.devices.push_back(std::move(run.result));
     }
     return report;
 }

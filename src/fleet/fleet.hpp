@@ -2,16 +2,16 @@
  * @file
  * Fleet-scale population simulator (DESIGN.md §16): N heterogeneous
  * devices deployed across a shared env::HarvestField, each running a
- * full scheduler trial on its own batch::BatchEngine lane via the
- * batch::TrialDriver replica, sharded over the thread pool. Each lane
- * replays the scalar engine bit-for-bit, so a device's outcome equals
- * its sched::runSeededTrial on a sim::Device.
+ * full scheduler trial (sched::runSeededTrial on its own sim::Device)
+ * as one work item on the thread pool. A device's outcome is exactly
+ * its scalar trial at its sampled part, field view and trial seed.
  *
  * Determinism contract: every per-device draw (cohort, position,
  * parameter scales, trial seed) is a pure function of (FleetSpec::seed,
- * device index) — never of the shard layout — and shard merge happens
- * in device order, so a run with shard_devices = 1 and shard_devices =
- * 10 000 produce byte-identical SummaryReports.
+ * device index) — never of the pool size or the order devices finish
+ * in — and results and telemetry merge in device order, so a run on a
+ * one-participant pool and on a many-participant pool produce
+ * byte-identical SummaryReports.
  */
 
 #ifndef CULPEO_FLEET_FLEET_HPP
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "batch/engine.hpp"
 #include "env/field.hpp"
 #include "sched/app.hpp"
 #include "sched/policy.hpp"
@@ -48,14 +47,15 @@ using units::Seconds;
  * `policy_name` names a registry entry (sched::makePolicy) that
  * runFleet instantiates, owns, and initializes against *app — so a
  * heterogeneous population mixes policies without the caller managing
- * instances. Fleet lanes share per-cohort threshold tables, so either
- * way the policy must be stationary.
+ * instances. Every device of a cohort runs against the same instance,
+ * concurrently, and feeds it its dispatch outcomes, so either way the
+ * policy must be stationary (Policy::stationary()).
  */
 struct Cohort
 {
     std::string name;
     const sched::AppSpec *app = nullptr;
-    const sched::Policy *policy = nullptr; ///< Initialized for *app.
+    sched::Policy *policy = nullptr;       ///< Initialized for *app.
     std::string policy_name; ///< Registry name (alternative to policy).
     double weight = 1.0;                   ///< Relative population share.
 };
@@ -92,19 +92,26 @@ struct FleetSpec
     std::uint64_t seed_stride = 1000003ULL;
 };
 
-/** Execution knobs; the defaults shard 64 lanes per pool item. */
+/** Execution knobs: where devices run and where telemetry goes. */
 struct FleetOptions
 {
-    batch::BatchOptions batch;
-    /** Devices per shard (one BatchEngine per shard). */
-    std::size_t shard_devices = 64;
+    /**
+     * Inert. It changes nothing: every device runs exact on
+     * sim::Device. It remains only so that callers still assigning
+     * `batch.exact_replay` compile, and goes with the benchmark change
+     * that drops the last such assignment (ROADMAP.md item 6).
+     */
+    struct
+    {
+        bool exact_replay = true;
+    } batch;
     /**
      * Telemetry sink; may be null. Each device records into a private
      * scratch merged into this sink in device order (trial index =
-     * device index), so sink contents are shard-count invariant.
+     * device index), so sink contents do not depend on the pool size.
      */
     telemetry::Telemetry *telemetry = nullptr;
-    /** Pool to shard on; null uses util::ThreadPool::shared(). */
+    /** Pool to run devices on; null uses util::ThreadPool::shared(). */
     util::ThreadPool *pool = nullptr;
 };
 
@@ -121,7 +128,7 @@ struct DeviceRecord
 
 /**
  * Sample device @p index of @p spec. Exposed so tests can assert the
- * draw is shard-independent and seeded-reproducible.
+ * draw is seeded-reproducible and rebuild any device's trial.
  */
 DeviceRecord sampleDevice(const FleetSpec &spec, std::size_t index);
 
@@ -207,10 +214,11 @@ struct SummaryReport
 };
 
 /**
- * Run the whole population: sample spec.devices devices, shard them
- * options.shard_devices per BatchEngine across the pool, drive each
- * lane with a TrialDriver under its own env::FieldHarvester view of
- * spec.field, and aggregate in device order.
+ * Run the whole population: sample spec.devices devices and run each
+ * as one pool item — sched::runSeededTrial on the cohort app with the
+ * device's scaled part, under its own env::FieldHarvester view of
+ * spec.field — then aggregate in device order. Fatal on an invalid
+ * spec, including a cohort whose policy is not stationary.
  */
 SummaryReport runFleet(const FleetSpec &spec,
                        const FleetOptions &options = {});

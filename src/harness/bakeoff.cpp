@@ -9,7 +9,6 @@
 #include <ostream>
 #include <tuple>
 
-#include "batch/trial_runner.hpp"
 #include "sched/engine.hpp"
 #include "sched/policy.hpp"
 #include "util/logging.hpp"
@@ -125,13 +124,8 @@ runCell(const BakeoffMatrix &matrix, const std::string &policy_name,
         config.harvester = &*view;
     }
 
-    // Stationary policies take the batch sweep executor; adaptive ones
-    // take the scalar path (serial, carrying state).
-    sched::AggregateResult agg;
-    if (batch::batchTrialsEligible(config, *policy))
-        agg = batch::runTrialsBatch(app, *policy, config);
-    else
-        agg = sched::runTrialsWith(app, *policy, config);
+    const sched::AggregateResult agg =
+        sched::runTrialsWith(app, *policy, config);
 
     BakeoffCell cell;
     cell.policy = policy_name;

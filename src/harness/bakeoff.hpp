@@ -9,16 +9,16 @@
  *
  * Policies are selected by registry name (sched::makePolicy), so any
  * user-registered policy joins the matrix without code changes here.
- * Stationary policies run each cell through the batch sweep executor
- * in exact-replay mode (bit-identical, reproducible scorecards);
- * online-adapting policies run the scalar serial path, carrying their
- * learned state across a cell's trials. Cells run in parallel on the
- * shared pool; each cell's inner trial sweep is a nested region and
- * runs inline on its worker, so the pool never oversubscribes and the
- * scorecard is byte-identical at any pool size.
+ * Each cell is one sched::runTrialsWith sweep on sim::Device;
+ * online-adapting policies carry their learned state across a cell's
+ * trials. Cells run in parallel on the shared pool; each cell's inner
+ * trial sweep is a nested region and runs inline on its worker, so the
+ * pool never oversubscribes and the scorecard is byte-identical at any
+ * pool size.
  *
- * Like the batch trial sources, bakeoff.cpp compiles into culpeo_sched
- * (it drives sched:: entry points) while the interface lives here.
+ * bakeoff.cpp compiles into culpeo_sched (it drives sched:: entry
+ * points, and sched links harness, not the reverse) while the
+ * interface lives here.
  */
 
 #ifndef CULPEO_HARNESS_BAKEOFF_HPP

@@ -147,9 +147,9 @@ TrialResult runTrialWith(const AppSpec &app, Policy &policy,
 /**
  * The engine proper: one trial at an explicit @p seed, emitting into
  * @p scratch when non-null. The caller owns scratch creation and the
- * in-order merge into any user sink — this is the building block both
- * runTrialWith()/runTrialsWith() and the batch::BatchTrialRunner sweep
- * executor drive; TrialConfig::seed and ::trials are ignored here.
+ * in-order merge into any user sink — this is the building block
+ * runTrialWith()/runTrialsWith() and fleet::runFleet drive;
+ * TrialConfig::seed and ::trials are ignored here.
  */
 TrialResult runSeededTrial(const AppSpec &app, Policy &policy,
                            const TrialConfig &config, std::uint64_t seed,

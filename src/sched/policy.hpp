@@ -9,8 +9,8 @@
  * every committed task's outcome back through observe(), so online
  * strategies can learn from completions and brown-outs. Policies whose
  * admissions are pure functions of the initialized app report
- * stationary() == true and stay eligible for the batch sweep executor's
- * resolve-once threshold tables.
+ * stationary() == true, so one instance may serve concurrent trials
+ * (parallel sweeps, fleet devices).
  *
  * CatnapPolicy reproduces the energy-only reasoning of the CatNap
  * scheduler [71]: each task's cost is the capacitor voltage drop measured
@@ -157,11 +157,11 @@ class Policy
 
     /**
      * True when admissions are a pure function of the initialized app —
-     * i.e. observe() never changes a future admission. Stationary
-     * policies may have their thresholds resolved once per sweep
-     * (batch::PolicyTables) and shared across parallel trials;
-     * adapting policies must return false and run on the scalar
-     * serial path.
+     * i.e. observe() never changes a future admission. One stationary
+     * instance may serve concurrent trials (runTrialsWith's parallel
+     * sweep, every device of a fleet cohort), so its observe() must
+     * also be safe to call concurrently; adapting policies must return
+     * false, and their sweeps run serially in trial order.
      */
     virtual bool stationary() const { return true; }
 

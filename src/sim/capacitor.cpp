@@ -196,15 +196,6 @@ Capacitor::setOpenCircuitVoltage(Volts voc)
     v_surf_ = voc;
 }
 
-void
-Capacitor::setBranchVoltages(Volts v_bulk, Volts v_surf)
-{
-    log::fatalIf(v_bulk.value() < 0.0 || v_surf.value() < 0.0,
-                 "branch voltages cannot be negative");
-    v_bulk_ = v_bulk;
-    v_surf_ = v_surf;
-}
-
 Joules
 Capacitor::storedEnergy() const
 {

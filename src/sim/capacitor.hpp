@@ -175,14 +175,6 @@ class Capacitor
     /** Set both branch voltages (a settled, equalized buffer). */
     void setOpenCircuitVoltage(Volts voc);
 
-    /**
-     * Set the two branch voltages independently (an un-equalized
-     * buffer). This is the state-handoff hook the batch engine uses to
-     * move a lane between its SoA mirror and the scalar simulator
-     * without losing the surface/bulk split mid-redistribution.
-     */
-    void setBranchVoltages(Volts v_bulk, Volts v_surf);
-
     /** Stored energy across both branches. */
     Joules storedEnergy() const;
 

@@ -30,8 +30,11 @@ justBelow(Volts level)
     return Volts(level.value() - 1e-9);
 }
 
-} // namespace
-
+/**
+ * The canonical unreachable-threshold diagnostic string ("<what> X V is
+ * unreachable: idle net buffer current ..."); @p what is "voltage
+ * threshold" or "monitor re-arm level".
+ */
 std::string
 unreachableDiagnostic(const char *what, Volts need, Amps net)
 {
@@ -42,6 +45,8 @@ unreachableDiagnostic(const char *what, Volts need, Amps net)
                   what, need.value(), net.value());
     return buf;
 }
+
+} // namespace
 
 Device::Device(PowerSystemConfig config, DeviceOptions options)
     : system_(std::move(config)), options_(options)

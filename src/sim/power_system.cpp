@@ -552,13 +552,6 @@ PowerSystem::reconfigureCapacitor(const CapacitorConfig &next)
 }
 
 void
-PowerSystem::adoptState(Volts v_bulk, Volts v_surf, Seconds now)
-{
-    cap_.setBranchVoltages(v_bulk, v_surf);
-    now_ = now;
-}
-
-void
 PowerSystem::forceOutputEnabled(bool enabled)
 {
     monitor_.forceEnabled(enabled);

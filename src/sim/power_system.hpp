@@ -149,9 +149,9 @@ class PowerSystem
      * step() with the output booster's operating point already solved:
      * @p draw, when non-null, must be OutputBooster::computeDraw at the
      * present capacitor state and @p i_load (only its input_current and
-     * collapsed fields are read). The analytic segment loop and the
-     * batch engine's exact mode hand over their loop-top solve this way
-     * so a reference step does not repeat it. Fault hooks age the
+     * collapsed fields are read). The analytic segment loop hands over
+     * its loop-top solve this way so a reference step does not repeat
+     * it. Fault hooks age the
      * buffer before the draw, so a draw may not be passed while hooks
      * are attached (FatalError).
      */
@@ -241,15 +241,6 @@ class PowerSystem
      * untouched.
      */
     void reconfigureCapacitor(const CapacitorConfig &next);
-
-    /**
-     * Batch-engine handoff: adopt branch voltages and the simulation
-     * clock from a lane's SoA mirror, so reference event steps and
-     * peeled scalar tails continue exactly where the lockstep kernel
-     * left the lane. Monitor state is NOT touched (the scalar system
-     * remains its owner throughout a batch run).
-     */
-    void adoptState(Volts v_bulk, Volts v_surf, Seconds now);
 
     /** Force the monitor state regardless of thresholds. */
     void forceOutputEnabled(bool enabled);

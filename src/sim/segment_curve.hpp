@@ -9,11 +9,8 @@
  * point and splits into at most two monotone pieces — level crossings
  * are found by bracketed bisection per piece.
  *
- * This header is the kernel-dispatch seam between the scalar segment
- * stepper (power_system.cpp) and the SoA batch engine (src/batch/):
- * both paths evaluate the *same* curve code, so committed macro steps
- * and located crossings are bit-identical by construction rather than
- * by keeping two verbatim twins in sync.
+ * The analytic segment stepper (power_system.cpp) evaluates every
+ * macro step and locates every crossing through this one curve.
  */
 
 #ifndef CULPEO_SIM_SEGMENT_CURVE_HPP

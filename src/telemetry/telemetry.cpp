@@ -45,30 +45,6 @@ Telemetry::emit(EventKind kind, double time_s, double voltage_v,
 }
 
 void
-Telemetry::stage(EventKind kind, double time_s, double voltage_v,
-                 std::uint32_t name_id, double value, bool flag)
-{
-    TraceEvent event;
-    event.time_s = time_s;
-    event.voltage_v = float(voltage_v);
-    event.value = float(value);
-    event.name_id = name_id;
-    event.trial = trial_;
-    event.kind = kind;
-    event.flag = flag;
-    staged_.push_back(event);
-}
-
-void
-Telemetry::flushStaged()
-{
-    if (staged_.empty())
-        return;
-    trace_.recordBatch(staged_);
-    staged_.clear();
-}
-
-void
 Telemetry::merge(const Telemetry &other)
 {
     registry_.merge(other.registry_);

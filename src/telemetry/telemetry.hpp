@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace_log.hpp"
@@ -149,22 +148,6 @@ class Telemetry
               std::uint32_t name_id = 0, double value = 0.0,
               bool flag = false);
 
-    /**
-     * emit() deferred: buffer the event locally (no trace-log lock)
-     * until flushStaged() pushes the whole batch in order. Hot emitters
-     * with a natural batch boundary — the batch engine's per-round
-     * drivers — stage at the instrument site and flush once per round,
-     * so the trace sequence is identical to eager emit() while the ring
-     * bookkeeping is amortized. Callers must flush before the trace is
-     * read or merge()d; staged events are invisible until then.
-     */
-    void stage(EventKind kind, double time_s, double voltage_v,
-               std::uint32_t name_id = 0, double value = 0.0,
-               bool flag = false);
-
-    /** Record every staged event, in staging order, then clear. */
-    void flushStaged();
-
     /** Fold @p other in: registry merge + trace append (trial ids kept). */
     void merge(const Telemetry &other);
 
@@ -187,7 +170,6 @@ class Telemetry
     TelemetryConfig config_;
     Registry registry_;
     TraceLog trace_;
-    std::vector<TraceEvent> staged_;
     std::uint32_t trial_ = 0;
     std::uint32_t sample_phase_ = 0;
 };

@@ -170,16 +170,6 @@ TraceLog::record(const TraceEvent &event)
     recordLocked(event);
 }
 
-void
-TraceLog::recordBatch(const std::vector<TraceEvent> &events)
-{
-    if (events.empty())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const TraceEvent &event : events)
-        recordLocked(event);
-}
-
 std::uint64_t
 TraceLog::recorded() const
 {

@@ -100,13 +100,6 @@ class TraceLog
     /** Push @p event, evicting the oldest when full. */
     void record(const TraceEvent &event);
 
-    /**
-     * Push @p events in order under one lock acquisition — the flush
-     * half of Telemetry's stage/flushStaged batching. Equivalent to
-     * record() per element, just amortized.
-     */
-    void recordBatch(const std::vector<TraceEvent> &events);
-
     /** Total events ever recorded (including evicted ones). */
     std::uint64_t recorded() const;
 

@@ -6,15 +6,20 @@
  * t), pure-function determinism (equal configs produce equal fields,
  * different seeds different skies), and the generators' envelopes
  * (solar bounded by peak and dark at night, kinetic two-leveled at
- * roughly the configured burst rate).
+ * roughly the configured burst rate). A uniform field's view drives a
+ * scheduler trial exactly as the app's constant harvest does.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "apps/apps.hpp"
 #include "env/field.hpp"
+#include "sched/engine.hpp"
+#include "sched/policy.hpp"
 
 namespace {
 
@@ -208,6 +213,42 @@ TEST(FieldHarvester, ForwardsTheFieldAtItsPosition)
     const env::FieldHarvester constant_view(uniform, pos);
     ASSERT_TRUE(constant_view.constantPower().has_value());
     EXPECT_EQ(constant_view.constantPower()->value(), 1e-3);
+}
+
+TEST(FieldHarvester, UniformFieldTrialMatchesConstantHarvest)
+{
+    // The view reports constant power, so the device folds it into an
+    // all-time harvest piece exactly as it does the app's own wattage.
+    sched::AppSpec app = apps::periodicSensing();
+    app.harvest = Watts(3e-3);
+    sched::CatnapPolicy policy;
+    policy.initialize(app);
+    const env::UniformField uniform(app.harvest);
+    const env::FieldHarvester view(uniform, env::Position{40.0, 60.0});
+
+    sched::TrialConfig plain;
+    plain.duration = Seconds(120.0);
+    sched::TrialConfig viewed = plain;
+    viewed.harvester = &view;
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const sched::TrialResult a =
+            sched::runSeededTrial(app, policy, plain, seed, nullptr);
+        const sched::TrialResult b =
+            sched::runSeededTrial(app, policy, viewed, seed, nullptr);
+        ASSERT_EQ(a.per_event.size(), b.per_event.size());
+        for (std::size_t i = 0; i < a.per_event.size(); ++i) {
+            EXPECT_EQ(a.per_event[i].arrived, b.per_event[i].arrived);
+            EXPECT_EQ(a.per_event[i].captured, b.per_event[i].captured);
+            EXPECT_EQ(a.per_event[i].lost, b.per_event[i].lost);
+        }
+        EXPECT_EQ(a.power_failures, b.power_failures);
+        EXPECT_EQ(a.background_runs, b.background_runs);
+        EXPECT_EQ(a.tasks_started, b.tasks_started);
+        EXPECT_EQ(a.tasks_completed, b.tasks_completed);
+        EXPECT_EQ(a.capture_latency.value(), b.capture_latency.value());
+        EXPECT_GT(a.tasks_started, 0u);
+    }
 }
 
 } // namespace

@@ -108,7 +108,8 @@ TEST_F(PolicyTest, CulpeoBackgroundThresholdHigherThanCatnap)
 TEST_F(PolicyTest, BuiltInAdmissionsAreUnconditional)
 {
     // The fixed-threshold policies always admit, never touch the
-    // buffer, and are stationary — the batch lanes rely on all three.
+    // buffer, and are stationary — parallel sweeps and fleets share one
+    // instance across concurrent trials on the last.
     for (const sched::Policy *policy :
          {static_cast<const sched::Policy *>(&catnap_),
           static_cast<const sched::Policy *>(&culpeo_)}) {

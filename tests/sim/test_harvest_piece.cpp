@@ -2,9 +2,8 @@
  * @file
  * Harvest-piece cache suite: PowerSystem reads a piecewise-constant
  * source once per constancy piece instead of once per stepper
- * iteration, re-reads it when the source is replaced or time moves
- * backwards, and keeps sampling a source that is not piecewise
- * constant on every step. Cached and uncached runs must agree
+ * iteration, re-reads it when the source is replaced, and keeps
+ * sampling a source that is not piecewise constant on every step. Cached and uncached runs must agree
  * bit-for-bit; the cache may only save queries.
  */
 
@@ -95,30 +94,6 @@ TEST(HarvestPieceCache, SetHarvesterForcesARequery)
     system.setHarvester(&pieces);
     system.step(Seconds(1e-3), Amps(0.0));
     EXPECT_EQ(pieces.power_queries, 2u);
-}
-
-TEST(HarvestPieceCache, RewindingTimeForcesARequery)
-{
-    CountingPieces pieces(10.0);
-    sim::PowerSystem system = chargedSystem(&pieces, 2.0);
-    system.runSegment(Seconds(25.0), Amps(0.0));
-    ASSERT_GE(system.now().value(), 20.0);
-    const unsigned before = pieces.power_queries;
-
-    // Back into piece 0, whose power differs from piece 2's.
-    const Volts vb = system.capacitor().bulkVoltage();
-    const Volts vs = system.capacitor().surfaceVoltage();
-    system.adoptState(vb, vs, Seconds(3.0));
-    const sim::StepResult cached = system.step(Seconds(1e-3), Amps(0.0));
-    EXPECT_EQ(pieces.power_queries, before + 1);
-    EXPECT_EQ(pieces.last_query, 3.0);
-
-    // Same state on a fresh system: bit-identical step.
-    sim::PowerSystem fresh = chargedSystem(&pieces, 2.0);
-    fresh.adoptState(vb, vs, Seconds(3.0));
-    const sim::StepResult reference = fresh.step(Seconds(1e-3), Amps(0.0));
-    EXPECT_EQ(cached.terminal.value(), reference.terminal.value());
-    EXPECT_EQ(cached.open_circuit.value(), reference.open_circuit.value());
 }
 
 TEST(HarvestPieceCache, CachedEulerRunMatchesPerStepSampling)

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "batch/engine.hpp"
 #include "load/profile.hpp"
 #include "sim/capacitor.hpp"
 #include "sim/harvester.hpp"
@@ -286,37 +285,6 @@ TEST(SegmentStepping, ChargerCutoffChatterIsPinned)
     EXPECT_EQ(system.capacitor().surfaceVoltage().value(),
               0x1.47afa5a3e9eebp+1);
     EXPECT_EQ(system.now().value(), 0x1.00000000011aap+1);
-}
-
-/**
- * The same program on an exact-replay batch lane: its reference steps
- * reuse the lane's loop-top draw, then the event storm peels the rest
- * onto the scalar stepper. Outcomes equal the scalar segment's.
- */
-TEST(SegmentStepping, ChargerCutoffChatterOnExactBatchLane)
-{
-    const load::CurrentProfile hold(
-        "hold", {{Seconds(kCutoffSeconds), Amps(kCutoffLoadA)}});
-    batch::BatchEngine engine;
-    batch::LaneSpec spec;
-    spec.config = sim::capybaraConfig();
-    spec.vstart = spec.config.monitor.vhigh;
-    spec.start_enabled = true;
-    spec.harvest = Watts(kCutoffHarvestW);
-    spec.program = {batch::LaneOp::runProfile(&hold, Seconds(50e-6))};
-    engine.addLane(spec);
-    engine.run();
-
-    const batch::LaneResult &lane = engine.result(0);
-    ASSERT_EQ(lane.ops.size(), 1u);
-    EXPECT_TRUE(lane.ops[0].completed);
-    EXPECT_EQ(lane.peels, 1u);
-    EXPECT_EQ(lane.macro_commits, 0u);
-    EXPECT_EQ(lane.ops[0].vmin.value(), 0x1.448509c6f7ccep+1);
-    EXPECT_EQ(lane.ops[0].voltage.value(), 0x1.49a367c9c47bcp+1);
-    EXPECT_EQ(lane.end_time.value(), 0x1.00000000011aap+1);
-    // Resting voltage of the scalar run's final branch voltages.
-    EXPECT_EQ(lane.vend.value(), 0x1.47af7592ea18fp+1);
 }
 
 /** Ages the buffer from t = 1 s on, as a fault model would. */
