@@ -69,6 +69,11 @@ RATIO_PAIRS = [
      "BM_RunTrial/force_euler:0", "BM_TraceStep"),
     ("trace decode cost",
      "BM_TraceStep", "BM_TraceDecode"),
+    # The zero-load booster draw is a closed form; the loaded draw
+    # iterates a fixed point. The ratio shrinking means the closed form
+    # stopped engaging (or picked up per-call work).
+    ("booster zero-load closed form",
+     "BM_BoosterDraw/load_ma:10", "BM_BoosterDraw/load_ma:0"),
 ]
 
 

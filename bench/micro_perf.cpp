@@ -99,6 +99,33 @@ BM_CapacitorAdvanceAnalytic(benchmark::State &state)
 BENCHMARK(BM_CapacitorAdvanceAnalytic);
 
 /**
+ * One output-booster solve per item over 64 buffer states from 1.8 V
+ * to Vhigh: at zero load (the closed form) and at a typical 10 mA
+ * load (the fixed-point iteration). The ratio of the two is gated in
+ * bench/check_regression.py.
+ */
+void
+BM_BoosterDraw(benchmark::State &state)
+{
+    const sim::PowerSystemConfig cfg = sim::capybaraConfig();
+    const sim::OutputBooster booster(cfg.output);
+    std::vector<sim::Capacitor> caps;
+    for (int i = 0; i < 64; ++i) {
+        sim::Capacitor cap(cfg.capacitor);
+        cap.setOpenCircuitVoltage(Volts(1.8 + 0.76 * i / 63.0));
+        caps.push_back(cap);
+    }
+    const Amps load(1e-3 * double(state.range(0)));
+    for (auto _ : state) {
+        for (const sim::Capacitor &cap : caps)
+            benchmark::DoNotOptimize(booster.computeDraw(cap, load));
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(caps.size()));
+}
+BENCHMARK(BM_BoosterDraw)->ArgName("load_ma")->Arg(0)->Arg(10);
+
+/**
  * One 25 mA / 10 ms task segment through the Euler loop vs. the
  * analytic fast path — the per-execution speedup that multiplies
  * through every harness simulation.

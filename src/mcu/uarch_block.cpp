@@ -61,12 +61,19 @@ UArchBlock::tick(Seconds dt, Volts vcap)
         return;
     log::fatalIf(dt.value() <= 0.0, "tick requires dt > 0");
 
+    // vcap is constant within a tick, so every sample that falls in it
+    // converts to the same code, and the min/max comparator is
+    // idempotent: convert and compare once. The subtraction loop stays
+    // as it was, keeping the sample phase bit-identical.
     const double period = adc_.samplePeriod().value();
     accumulated_ += dt.value();
+    bool sampled = false;
     while (accumulated_ >= period) {
         accumulated_ -= period;
-        applyComparator(convertNow(vcap));
+        sampled = true;
     }
+    if (sampled)
+        applyComparator(convertNow(vcap));
 }
 
 Amps

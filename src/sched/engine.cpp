@@ -137,15 +137,6 @@ struct Trial
             device.reconfigureBuffer(*admission.buffer);
     }
 
-    /** Harvest power at the device's current simulation time. */
-    Watts
-    currentHarvest() const
-    {
-        const sim::Harvester *harvester = device.system().harvester();
-        return harvester == nullptr ? Watts(0.0)
-                                    : harvester->powerAt(device.now());
-    }
-
     /**
      * Run one task as a commitment the attached observer can audit: the
      * policy (plus any supervisor margin) admitted it at the current
@@ -196,7 +187,7 @@ struct Trial
         outcome.vmin = run.vmin;
         outcome.vend = run.vend_loaded;
         outcome.voff = device.voff();
-        outcome.harvest = currentHarvest();
+        outcome.harvest = device.harvestNow();
         outcome.now = device.now();
         policy.observe(outcome);
         if (run.completed)

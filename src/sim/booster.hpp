@@ -15,6 +15,7 @@
 #define CULPEO_SIM_BOOSTER_HPP
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/capacitor.hpp"
 #include "util/units.hpp"
@@ -47,9 +48,32 @@ struct Efficiency
      */
     double at(units::Volts v, Amps i_load) const
     {
-        double eta = slope * v.value() + intercept;
-        const double dv = v_ref - v.value();
-        eta -= curvature * dv * dv;
+        return combine(line(v.value()), droop(v.value()), i_load);
+    }
+
+    /** The linear part of at(): slope * v + intercept. */
+    double line(double v) const { return slope * v + intercept; }
+
+    /**
+     * The curvature droop at() subtracts, curvature * (v_ref - v)^2.
+     * Never negative for curvature >= 0, and (round-to-nearest being
+     * symmetric) a non-decreasing function of |v_ref - v|.
+     */
+    double droop(double v) const
+    {
+        const double dv = v_ref - v;
+        return curvature * dv * dv;
+    }
+
+    /**
+     * at() from its parts: subtract @p droop_term and the current
+     * droop from @p line_term, then clamp. Non-decreasing in
+     * @p line_term and non-increasing in @p droop_term, since every
+     * step is a correctly rounded subtraction or a clamp.
+     */
+    double combine(double line_term, double droop_term, Amps i_load) const
+    {
+        double eta = line_term - droop_term;
         eta -= current_coeff * i_load.value();
         return std::clamp(eta, min_eta, max_eta);
     }
@@ -98,15 +122,49 @@ class OutputBooster
      * Vterm = Voc - Iin * R) is iterated with the efficiency model until
      * the operating point is self-consistent: at most 8 passes, stopping
      * early once a pass reproduces its input terminal voltage exactly
-     * (every later pass would then repeat it bit-for-bit). A negative
+     * (every later pass would then repeat it bit-for-bit). A zero load
+     * returns that pass's result in closed form. A negative
      * discriminant means the buffer cannot deliver Pin through its ESR
      * at any current (max-power-transfer exceeded) and is reported as
      * collapse.
      */
     BoosterDraw computeDraw(const Capacitor &cap, Amps i_load) const;
 
+    /** Which side of the input current inputCurrentBound() encloses. */
+    enum class Bound
+    {
+        Lower,
+        Upper,
+    };
+
+    /**
+     * A certified one-sided bound on computeDraw(cap, i_load)'s
+     * input_current, without running the fixed point. Returned only
+     * when the bound also proves that the draw does not collapse;
+     * nullopt means no certificate, and the caller must solve.
+     *
+     * The bound mirrors the solver's own expressions and relies only
+     * on correctly rounded operations being monotone: every iterate
+     * lies in [v_lo, Voc], where v_lo is the terminal voltage at the
+     * input current for eta = min_eta; the upper bound on eta drops the
+     * curvature droop and evaluates at Voc; the lower bound evaluates
+     * at v_lo minus the largest droop on [v_lo, Voc]. A pass's input
+     * current is non-increasing in eta. Configurations the argument
+     * does not cover (zero Thevenin resistance, negative slope or
+     * curvature, a non-positive eta floor, non-finite values, a
+     * non-positive load) get no certificate.
+     */
+    std::optional<Amps> inputCurrentBound(const Capacitor &cap, Amps i_load,
+                                          Bound side) const;
+
   private:
     OutputBoosterConfig config_;
+    /**
+     * The configuration satisfies inputCurrentBound()'s preconditions:
+     * finite parameters, non-negative slope and curvature, and a
+     * positive eta floor no higher than the ceiling.
+     */
+    bool bounds_certifiable_ = false;
 };
 
 /** Input booster configuration (BQ25504-class part). */

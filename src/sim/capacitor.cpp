@@ -172,20 +172,27 @@ Capacitor::Capacitor(CapacitorConfig config) : config_(config)
                  "capacitance_fraction must be in (0, 1]");
     log::fatalIf(config_.esr_multiplier < 1.0,
                  "esr_multiplier models aging and must be >= 1");
+    refreshConstants();
 }
 
-Farads
-Capacitor::capacitance() const
-{
-    return config_.capacitance * config_.capacitance_fraction;
-}
-
-Volts
-Capacitor::openCircuitVoltage() const
+void
+Capacitor::refreshConstants()
 {
     const double cb = config_.bulkCapacitance().value();
     const double cs = config_.surfaceCapacitance().value();
-    return Volts((cb * v_bulk_.value() + cs * v_surf_.value()) / (cb + cs));
+    const double c = cb + cs;
+    gb_ = 1.0 / config_.agedBulkResistance().value();
+    gs_ = 1.0 / config_.agedSurfaceResistance().value();
+    g_ = gb_ + gs_;
+
+    k_.tau = config_.redistributionTau().value();
+    k_.beta = (gb_ / g_) / cb - (gs_ / g_) / cs;
+    k_.gamma = gb_ / g_ - cb / c;
+    k_.c_total = c;
+    k_.cb = cb;
+    k_.cs = cs;
+    k_.rth = config_.agedSeriesEsr().value() + 1.0 / g_;
+    capacitance_ = config_.capacitance * config_.capacitance_fraction;
 }
 
 void
@@ -203,28 +210,6 @@ Capacitor::storedEnergy() const
            units::capacitorEnergy(config_.surfaceCapacitance(), v_surf_);
 }
 
-Volts
-Capacitor::theveninVoltage() const
-{
-    const double gb = 1.0 / config_.agedBulkResistance().value();
-    const double gs = 1.0 / config_.agedSurfaceResistance().value();
-    return Volts((v_bulk_.value() * gb + v_surf_.value() * gs) / (gb + gs));
-}
-
-Ohms
-Capacitor::theveninResistance() const
-{
-    const double gb = 1.0 / config_.agedBulkResistance().value();
-    const double gs = 1.0 / config_.agedSurfaceResistance().value();
-    return Ohms(config_.agedSeriesEsr().value() + 1.0 / (gb + gs));
-}
-
-Volts
-Capacitor::terminalVoltage(Amps i_out) const
-{
-    return theveninVoltage() - i_out * theveninResistance();
-}
-
 void
 Capacitor::applyAging(double capacitance_fraction, double esr_multiplier)
 {
@@ -234,6 +219,7 @@ Capacitor::applyAging(double capacitance_fraction, double esr_multiplier)
                  "esr_multiplier models aging and must be >= 1");
     config_.capacitance_fraction = capacitance_fraction;
     config_.esr_multiplier = esr_multiplier;
+    refreshConstants();
 }
 
 void
@@ -248,48 +234,21 @@ Capacitor::step(Seconds dt, Amps i_out)
     // Explicit Euler is only stable for steps well below the branch
     // redistribution time constant; sub-step internally so callers may
     // use coarse steps while idling or recharging.
-    const double tau = config_.redistributionTau().value();
     const auto substeps = std::max<std::size_t>(
-        1, std::size_t(std::ceil(dt.value() / (0.25 * tau))));
+        1, std::size_t(std::ceil(dt.value() / (0.25 * k_.tau))));
     const double h = dt.value() / double(substeps);
-
-    const double gb = 1.0 / config_.agedBulkResistance().value();
-    const double gs = 1.0 / config_.agedSurfaceResistance().value();
-    const double cb = config_.bulkCapacitance().value();
-    const double cs = config_.surfaceCapacitance().value();
 
     for (std::size_t s = 0; s < substeps; ++s) {
         // Internal node voltage from the current balance, then branch
         // currents and integration.
-        const double vm = (v_bulk_.value() * gb + v_surf_.value() * gs -
+        const double vm = (v_bulk_.value() * gb_ + v_surf_.value() * gs_ -
                            net.value()) /
-                          (gb + gs);
-        const double ib = (v_bulk_.value() - vm) * gb;
-        const double is = (v_surf_.value() - vm) * gs;
-        v_bulk_ = Volts(std::max(0.0, v_bulk_.value() - ib * h / cb));
-        v_surf_ = Volts(std::max(0.0, v_surf_.value() - is * h / cs));
+                          g_;
+        const double ib = (v_bulk_.value() - vm) * gb_;
+        const double is = (v_surf_.value() - vm) * gs_;
+        v_bulk_ = Volts(std::max(0.0, v_bulk_.value() - ib * h / k_.cb));
+        v_surf_ = Volts(std::max(0.0, v_surf_.value() - is * h / k_.cs));
     }
-}
-
-TwoBranchCoefficients
-Capacitor::analyticCoefficients() const
-{
-    const double cb = config_.bulkCapacitance().value();
-    const double cs = config_.surfaceCapacitance().value();
-    const double c = cb + cs;
-    const double gb = 1.0 / config_.agedBulkResistance().value();
-    const double gs = 1.0 / config_.agedSurfaceResistance().value();
-    const double g = gb + gs;
-
-    TwoBranchCoefficients k;
-    k.tau = config_.redistributionTau().value();
-    k.beta = (gb / g) / cb - (gs / g) / cs;
-    k.gamma = gb / g - cb / c;
-    k.c_total = c;
-    k.cb = cb;
-    k.cs = cs;
-    k.rth = theveninResistance().value();
-    return k;
 }
 
 void
@@ -302,7 +261,7 @@ Capacitor::advanceAnalytic(Seconds dt, Amps i_out)
     if (openCircuitVoltage().value() > 0.0)
         net += config_.leakage.value();
 
-    const TwoBranchCoefficients k = analyticCoefficients();
+    const TwoBranchCoefficients &k = k_;
     const double q0 =
         (k.cb * v_bulk_.value() + k.cs * v_surf_.value()) / k.c_total;
     const double d0 = v_bulk_.value() - v_surf_.value();

@@ -191,6 +191,11 @@ class Device
     // --- State queries ---
 
     Seconds now() const { return system_.now(); }
+    /**
+     * Harvest power at now() (0 W without a source), read through the
+     * power system's piece cache for piecewise-constant sources.
+     */
+    Watts harvestNow() const { return Watts(system_.harvestNow()); }
     /** Brown-out state: is the output booster currently enabled? */
     bool on() const { return system_.monitor().enabled(); }
     bool deviceOn() const { return on(); }

@@ -219,6 +219,32 @@ PowerSystem::analyticEventStep(SegmentResult &result, Amps i_load,
     result.collapsed = result.collapsed || s.collapsed;
 }
 
+bool
+certifiedCutoffRejection(const OutputBooster &booster,
+                         const Capacitor &probe, Amps i_load,
+                         Amps i_charge0, Amps i_charge1, double net0,
+                         double bound)
+{
+    if ((i_charge0.value() == 0.0) == (i_charge1.value() == 0.0))
+        return false;
+    // The charger switched off across the probe (net current jumps up)
+    // or on (it drops). The probe's net current fl(i_out1 - i_charge1),
+    // and its difference from net0, are monotone in the booster's input
+    // current i_out1, so one side of its enclosure bounds the drift.
+    const bool rising = i_charge1.value() == 0.0;
+    const std::optional<Amps> i_out1 = booster.inputCurrentBound(
+        probe, i_load,
+        rising ? OutputBooster::Bound::Lower : OutputBooster::Bound::Upper);
+    if (!i_out1.has_value())
+        return false;
+    const double d = (i_out1->value() - i_charge1.value()) - net0;
+    const double drift = rising ? d : -d;
+    // The true drift is at least this one, and 0.9 * bound / drift is
+    // non-increasing in it: the probe fails the bound and its shrink
+    // clamps to kMinProbeShrink.
+    return drift > bound && 0.9 * bound / drift < kMinProbeShrink;
+}
+
 SegmentResult
 PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
                                 const SegmentOptions &options)
@@ -307,6 +333,17 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
             ++result.probes;
             Capacitor probe = cap_;
             probe.advanceAnalytic(Seconds(dt_try), Amps(net0));
+            const Amps i_charge1 =
+                input_.chargeCurrent(harvest, probe.openCircuitVoltage());
+            if (enabled &&
+                certifiedCutoffRejection(output_, probe, i_load, i_charge,
+                                         i_charge1, net0, bound)) {
+                // The solve below would reject this probe with the
+                // floor shrink; the rejection touches nothing else.
+                ++result.certified_rejections;
+                dt_try *= kMinProbeShrink;
+                continue;
+            }
             Amps i_out1{0.0};
             bool collapsed1 = false;
             if (enabled) {
@@ -314,14 +351,12 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
                 collapsed1 = draw1.collapsed;
                 i_out1 = draw1.input_current;
             }
-            const Amps i_charge1 =
-                input_.chargeCurrent(harvest, probe.openCircuitVoltage());
             net1 = i_out1.value() - i_charge1.value();
             const double drift = std::abs(net1 - net0);
             if (!collapsed1 && drift <= bound)
                 break;
             const double shrink = (!collapsed1 && drift > 0.0)
-                ? std::clamp(0.9 * bound / drift, 0.05, 0.5)
+                ? std::clamp(0.9 * bound / drift, kMinProbeShrink, 0.5)
                 : 0.5;
             dt_try *= shrink;
         }
@@ -340,7 +375,7 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
         // Commit with the trapezoidal current correction and scan the
         // explicit terminal-voltage curve for monitor crossings.
         const double net_avg = 0.5 * (net0 + net1);
-        const TwoBranchCoefficients k = cap_.analyticCoefficients();
+        const TwoBranchCoefficients &k = cap_.analyticCoefficients();
         double i_state = net_avg;
         if (cap_.openCircuitVoltage().value() > 0.0)
             i_state += cap_.config().leakage.value();

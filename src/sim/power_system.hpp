@@ -104,6 +104,12 @@ struct SegmentResult
     unsigned macro_steps = 0;
     /** Trial macro steps probed (accepted + rejected halvings). */
     unsigned probes = 0;
+    /**
+     * Probes rejected without a booster solve: the charger switched
+     * across the probe and a certified bound on the booster's input
+     * current proved the rejection and its shrink factor.
+     */
+    unsigned certified_rejections = 0;
     /** Reference Euler steps taken (all steps on the Euler path). */
     unsigned reference_steps = 0;
     /** Stopped because resting voltage reached stop_above_resting. */
@@ -111,6 +117,30 @@ struct SegmentResult
     /** Stopped because the monitor enabled under stop_when_enabled. */
     bool stopped_enabled = false;
 };
+
+/**
+ * Smallest factor by which the analytic stepper shrinks a rejected
+ * macro-step probe: a probe whose net current drifted by `drift` from
+ * the loop top's shrinks by clamp(0.9 * bound / drift, kMinProbeShrink,
+ * 0.5).
+ */
+inline constexpr double kMinProbeShrink = 0.05;
+
+/**
+ * Certified rejection of a charger cut-off probe. True only when it is
+ * proven, without solving the output booster, that the analytic
+ * stepper's probe at state @p probe serving @p i_load fails the drift
+ * @p bound against the loop top's net current @p net0 with no booster
+ * collapse and with the shrink factor exactly kMinProbeShrink — the
+ * only effect a rejected probe has on the stepper. @p i_charge0 and
+ * @p i_charge1 are the loop-top and probe charge currents; only probes
+ * across which the charger switches on or off (exactly one of them is
+ * zero) are tried. False means "solve", never "accept".
+ */
+bool certifiedCutoffRejection(const OutputBooster &booster,
+                              const Capacitor &probe, Amps i_load,
+                              Amps i_charge0, Amps i_charge1, double net0,
+                              double bound);
 
 /**
  * The power-system transient simulator. Owns all supply-side component
@@ -204,6 +234,14 @@ class PowerSystem
     Amps idleNetCurrentAt(Volts voc, bool with_output_draw) const;
 
     Seconds now() const { return now_; }
+
+    /**
+     * Harvest power at now_ (0 W without a source). Piecewise-constant
+     * sources answer from a cached piece, refreshed when now_ has left
+     * it; other sources are sampled directly.
+     */
+    double harvestNow() const;
+
     const Capacitor &capacitor() const { return cap_; }
     const VoltageMonitor &monitor() const { return monitor_; }
     const OutputBooster &outputBooster() const { return output_; }
@@ -282,12 +320,6 @@ class PowerSystem
     void analyticEventStep(SegmentResult &result, Amps i_load,
                            Seconds fallback_dt, double &remaining,
                            const BoosterDraw *draw);
-    /**
-     * Harvest power at now_ (0 W without a source). Piecewise-constant
-     * sources answer from piece_, which this refreshes when now_ has
-     * left the cached piece; other sources are sampled directly.
-     */
-    double harvestNow() const;
 
     PowerSystemConfig config_;
     Capacitor cap_;

@@ -5,10 +5,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "sim/booster.hpp"
 #include "sim/power_system.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -273,6 +276,147 @@ TEST(OutputBooster, EarlyExitMatchesFixedEightPassesBitForBit)
     EXPECT_GT(one_pass, 0u);
     EXPECT_GT(early, 0u);
     EXPECT_GT(unconverged, 0u);
+}
+
+/**
+ * The zero-load closed form against the reference solve, bit for bit:
+ * random buffer voltages over many decades (including ones whose
+ * square underflows, subnormal voltages and an empty buffer), a zero
+ * Thevenin resistance, aged banks and an efficiency clamped to zero.
+ */
+TEST(OutputBooster, ZeroLoadClosedFormMatchesFixedEightPassesBitForBit)
+{
+    OutputBoosterConfig capybara = sim::capybaraConfig().output;
+    OutputBoosterConfig linear = capybara;
+    linear.efficiency = capybara.efficiency.linearApprox();
+    // An efficiency that clamps to 0 makes pin = 0 / 0: NaN, which the
+    // closed form must leave to the loop.
+    OutputBoosterConfig zero_eta = capybara;
+    zero_eta.efficiency.slope = 0.0;
+    zero_eta.efficiency.intercept = -1.0;
+    zero_eta.efficiency.min_eta = 0.0;
+
+    sim::CapacitorConfig base = sim::capybaraConfig().capacitor;
+    sim::CapacitorConfig series_free = base;
+    series_free.series_esr = Ohms(0.0);
+    series_free.bulk_resistance = Ohms(1e-300);
+    series_free.surface_resistance = Ohms(1e-300);
+    // Branch conductances overflow: the Thevenin resistance is exactly
+    // 0 (and the Thevenin voltage NaN, which the loop owns).
+    sim::CapacitorConfig zero_r = series_free;
+    zero_r.bulk_resistance = Ohms(1e-320);
+    zero_r.surface_resistance = Ohms(1e-320);
+    sim::CapacitorConfig aged = base;
+    aged.capacitance_fraction = 0.8;
+    aged.esr_multiplier = 2.0;
+
+    util::Rng rng(2027);
+    unsigned compared = 0, zero_r_seen = 0;
+    for (const OutputBoosterConfig *config : {&capybara, &linear, &zero_eta}) {
+        const OutputBooster booster(*config);
+        for (const sim::CapacitorConfig *cc :
+             {&base, &series_free, &zero_r, &aged}) {
+            std::vector<double> volts = {0.0,    1e-320, 4e-310, 1e-300,
+                                         1e-160, 1.5e-154, 1e-150, 0.5,
+                                         1.6,    2.56,   3.0};
+            for (int i = 0; i < 1000; ++i)
+                volts.push_back(std::pow(10.0, rng.uniform(-170.0, 1.0)));
+            for (const double v : volts) {
+                for (int aging = 0; aging < 2; ++aging) {
+                    Capacitor cap(*cc);
+                    if (aging == 1)
+                        cap.applyAging(rng.uniform(0.8, 1.0),
+                                       rng.uniform(1.0, 2.0));
+                    cap.setOpenCircuitVoltage(Volts(v));
+                    int repeat_pass = 0;
+                    const BoosterDraw want = fixedEightPassDraw(
+                        *config, cap, Amps(0.0), repeat_pass);
+                    const BoosterDraw got =
+                        booster.computeDraw(cap, Amps(0.0));
+                    SCOPED_TRACE(testing::Message()
+                                 << "V " << v << ", R "
+                                 << cap.theveninResistance().value());
+                    EXPECT_EQ(bitsOf(got.input_current.value()),
+                              bitsOf(want.input_current.value()));
+                    EXPECT_EQ(bitsOf(got.terminal_voltage.value()),
+                              bitsOf(want.terminal_voltage.value()));
+                    EXPECT_EQ(bitsOf(got.efficiency),
+                              bitsOf(want.efficiency));
+                    EXPECT_EQ(got.collapsed, want.collapsed);
+                    ++compared;
+                    if (cap.theveninResistance().value() == 0.0)
+                        ++zero_r_seen;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 3u * 4u * 1011u * 2u);
+    EXPECT_GT(zero_r_seen, 0u);
+}
+
+/**
+ * inputCurrentBound encloses the solved input current from the side
+ * asked for, and only certifies draws that do not collapse.
+ */
+TEST(OutputBooster, InputCurrentBoundEnclosesTheSolve)
+{
+    const OutputBooster booster(sim::capybaraConfig().output);
+    util::Rng rng(7);
+    unsigned certified = 0;
+    for (int i = 0; i < 20000; ++i) {
+        sim::CapacitorConfig cc = sim::capybaraConfig().capacitor;
+        cc.capacitance_fraction = rng.uniform(0.8, 1.0);
+        cc.esr_multiplier = rng.uniform(1.0, 3.0);
+        Capacitor cap(cc);
+        cap.setOpenCircuitVoltage(Volts(rng.uniform(0.6, 3.0)));
+        const Amps load(rng.uniform(0.0, 0.1));
+        const BoosterDraw draw = booster.computeDraw(cap, load);
+        for (const auto side : {OutputBooster::Bound::Lower,
+                                OutputBooster::Bound::Upper}) {
+            const std::optional<Amps> bound =
+                booster.inputCurrentBound(cap, load, side);
+            if (!bound.has_value())
+                continue;
+            ++certified;
+            EXPECT_FALSE(draw.collapsed);
+            if (side == OutputBooster::Bound::Lower)
+                EXPECT_LE(bound->value(), draw.input_current.value());
+            else
+                EXPECT_GE(bound->value(), draw.input_current.value());
+        }
+    }
+    EXPECT_GT(certified, 5000u);
+}
+
+/** No certificate where the monotonicity argument does not apply. */
+TEST(OutputBooster, InputCurrentBoundRefusesUncoveredConfigurations)
+{
+    const Capacitor cap = chargedCap(2.4);
+    for (const auto side :
+         {OutputBooster::Bound::Lower, OutputBooster::Bound::Upper}) {
+        OutputBoosterConfig falling = sim::capybaraConfig().output;
+        falling.efficiency.slope = -0.01;
+        EXPECT_FALSE(OutputBooster(falling)
+                         .inputCurrentBound(cap, Amps(0.01), side)
+                         .has_value());
+        OutputBoosterConfig convex = sim::capybaraConfig().output;
+        convex.efficiency.curvature = -0.01;
+        EXPECT_FALSE(OutputBooster(convex)
+                         .inputCurrentBound(cap, Amps(0.01), side)
+                         .has_value());
+        OutputBoosterConfig nan_ref = sim::capybaraConfig().output;
+        nan_ref.efficiency.v_ref = std::nan("");
+        EXPECT_FALSE(OutputBooster(nan_ref)
+                         .inputCurrentBound(cap, Amps(0.01), side)
+                         .has_value());
+        const OutputBooster booster(sim::capybaraConfig().output);
+        EXPECT_FALSE(
+            booster.inputCurrentBound(cap, Amps(0.0), side).has_value());
+        // Demand past maximum power transfer at min_eta.
+        EXPECT_FALSE(booster.inputCurrentBound(chargedCap(0.9), Amps(0.2),
+                                               side)
+                         .has_value());
+    }
 }
 
 TEST(OutputBooster, ConfigValidation)

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "sim/capacitor.hpp"
+#include "sim/power_system.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -230,6 +235,87 @@ TEST(Capacitor, StoredEnergyMatchesBranchSum)
     Capacitor cap(capybaraBank());
     cap.setOpenCircuitVoltage(Volts(2.0));
     EXPECT_NEAR(cap.storedEnergy().value(), 0.5 * 0.045 * 4.0, 1e-9);
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/**
+ * Every constant the capacitor caches per configuration equals its
+ * from-config formula (the expressions each accessor evaluated on
+ * every call before the constants were cached) bit for bit.
+ */
+void
+expectCachedConstantsMatchConfig(const Capacitor &cap)
+{
+    const CapacitorConfig &c = cap.config();
+    const double vb = cap.bulkVoltage().value();
+    const double vs = cap.surfaceVoltage().value();
+    const double cb = c.bulkCapacitance().value();
+    const double cs = c.surfaceCapacitance().value();
+    const double ct = cb + cs;
+    const double gb = 1.0 / c.agedBulkResistance().value();
+    const double gs = 1.0 / c.agedSurfaceResistance().value();
+    const double g = gb + gs;
+    const double rth = c.agedSeriesEsr().value() + 1.0 / g;
+    const double vth = (vb * gb + vs * gs) / g;
+
+    EXPECT_EQ(bitsOf(cap.capacitance().value()),
+              bitsOf((c.capacitance * c.capacitance_fraction).value()));
+    EXPECT_EQ(bitsOf(cap.openCircuitVoltage().value()),
+              bitsOf((cb * vb + cs * vs) / ct));
+    EXPECT_EQ(bitsOf(cap.theveninVoltage().value()), bitsOf(vth));
+    EXPECT_EQ(bitsOf(cap.theveninResistance().value()), bitsOf(rth));
+    for (const double i : {0.0, 5e-3, -20e-3}) {
+        EXPECT_EQ(bitsOf(cap.terminalVoltage(Amps(i)).value()),
+                  bitsOf(vth - i * rth));
+    }
+    const sim::TwoBranchCoefficients &k = cap.analyticCoefficients();
+    EXPECT_EQ(bitsOf(k.tau), bitsOf(c.redistributionTau().value()));
+    EXPECT_EQ(bitsOf(k.beta), bitsOf((gb / g) / cb - (gs / g) / cs));
+    EXPECT_EQ(bitsOf(k.gamma), bitsOf(gb / g - cb / ct));
+    EXPECT_EQ(bitsOf(k.c_total), bitsOf(ct));
+    EXPECT_EQ(bitsOf(k.cb), bitsOf(cb));
+    EXPECT_EQ(bitsOf(k.cs), bitsOf(cs));
+    EXPECT_EQ(bitsOf(k.rth), bitsOf(rth));
+}
+
+TEST(Capacitor, CachedConstantsMatchConfigFormulas)
+{
+    util::Rng rng(11);
+    for (int i = 0; i < 200; ++i) {
+        CapacitorConfig cfg = capybaraBank();
+        cfg.capacitance = Farads(rng.uniform(1e-3, 0.5));
+        cfg.series_esr = Ohms(rng.uniform(0.0, 5.0));
+        cfg.surface_fraction = rng.uniform(0.05, 0.5);
+        cfg.bulk_resistance = Ohms(rng.uniform(1.0, 20.0));
+        cfg.surface_resistance = Ohms(rng.uniform(0.1, 5.0));
+        cfg.capacitance_fraction = rng.uniform(0.8, 1.0);
+        cfg.esr_multiplier = rng.uniform(1.0, 2.0);
+        SCOPED_TRACE(testing::Message() << "case " << i);
+
+        // After construction, with unequal branch voltages.
+        Capacitor cap(cfg);
+        cap.setOpenCircuitVoltage(Volts(rng.uniform(1.0, 2.6)));
+        cap.step(Seconds(1e-3), Amps(rng.uniform(-0.02, 0.05)));
+        expectCachedConstantsMatchConfig(cap);
+
+        // After an abrupt aging step.
+        cap.applyAging(rng.uniform(0.8, 1.0), rng.uniform(1.0, 2.0));
+        expectCachedConstantsMatchConfig(cap);
+        cap.advanceAnalytic(Seconds(2e-3), Amps(0.01));
+        expectCachedConstantsMatchConfig(cap);
+
+        // After a bank-array reconfiguration swaps the buffer.
+        sim::PowerSystem system(sim::capybaraConfig());
+        system.setBufferVoltage(Volts(2.4));
+        system.reconfigureCapacitor(cfg);
+        system.step(Seconds(1e-3), Amps(0.02));
+        expectCachedConstantsMatchConfig(system.capacitor());
+    }
 }
 
 TEST(Capacitor, ConfigValidation)

@@ -278,6 +278,10 @@ TEST(SegmentStepping, ChargerCutoffChatterIsPinned)
     EXPECT_FALSE(r.collapsed);
     EXPECT_EQ(r.macro_steps, 0u);
     EXPECT_EQ(r.reference_steps, 40000u);
+    // Most floored probes switch the charger; their rejections are
+    // certified without a booster solve and leave every pin intact.
+    EXPECT_GT(r.certified_rejections, 0u);
+    EXPECT_LE(r.certified_rejections, r.probes);
     EXPECT_EQ(r.vmin.value(), 0x1.448509c6f7ccep+1);
     EXPECT_EQ(r.vend.value(), 0x1.49a367c9c47bcp+1);
     EXPECT_EQ(system.capacitor().bulkVoltage().value(),
@@ -318,6 +322,7 @@ TEST(SegmentStepping, ChargerCutoffChatterUnderFaultHooksIsPinned)
         Seconds(kCutoffSeconds), Amps(kCutoffLoadA));
     EXPECT_FALSE(r.used_analytic);
     EXPECT_EQ(r.reference_steps, 40000u);
+    EXPECT_EQ(r.certified_rejections, 0u);
     EXPECT_EQ(r.vmin.value(), 0x1.42e9d4e988626p+1);
     EXPECT_EQ(r.vend.value(), 0x1.42e9e1dfa890dp+1);
     EXPECT_EQ(system.capacitor().bulkVoltage().value(),
