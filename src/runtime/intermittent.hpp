@@ -23,6 +23,10 @@
  * task that stays infeasible is *skipped* (TaskStats::skipped) so the
  * rest of the program keeps making progress instead of the run ending
  * in nonterminating/starved.
+ *
+ * Each attempt runs the admit / wait / commit steps of
+ * sched/dispatch.hpp, so telemetry records the scheduler's payload
+ * (TaskStart carries the admitted need) plus runtime.* counters.
  */
 
 #ifndef CULPEO_RUNTIME_INTERMITTENT_HPP

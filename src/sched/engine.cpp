@@ -5,7 +5,7 @@
 #include <memory>
 #include <utility>
 
-#include "harness/task_runner.hpp"
+#include "sched/dispatch.hpp"
 #include "sched/supervisor.hpp"
 #include "sim/device.hpp"
 #include "util/logging.hpp"
@@ -85,31 +85,16 @@ struct Trial
     unsigned tasks_started = 0;
     unsigned tasks_completed = 0;
 
-    /**
-     * Per-task telemetry handles, resolved once per task and reused on
-     * every dispatch: interning the label and the registry's name map
-     * both cost a lock + string lookup, far too much for a path that
-     * runs hundreds of times per simulated minute.
-     */
-    struct TaskTel
-    {
-        std::uint32_t name_id = 0;
-        telemetry::Histogram *vmin = nullptr;
-    };
-    std::map<const SchedTask *, TaskTel> task_tel;
+    /** Per-task telemetry handles, resolved on a task's first dispatch. */
+    std::map<const SchedTask *, dispatch::TaskTelemetry> task_tel;
 
-    const TaskTel &
+    const dispatch::TaskTelemetry &
     taskTel(const SchedTask &task)
     {
-        const auto it = task_tel.find(&task);
-        if (it != task_tel.end())
-            return it->second;
-        TaskTel handles;
-        handles.name_id = tel->trace().intern(task.name);
-        handles.vmin = &tel->registry().histogram(
-            telemetry::names::taskVmin(task.name),
-            device.voff().value(), device.vhigh().value(), 32);
-        return task_tel.emplace(&task, handles).first->second;
+        const auto [it, fresh] = task_tel.try_emplace(&task);
+        if (fresh)
+            it->second = dispatch::resolveTaskTelemetry(device, task.name);
+        return it->second;
     }
 
     Trial(const AppSpec &app_in, Policy &policy_in,
@@ -117,12 +102,6 @@ struct Trial
         : app(app_in), policy(policy_in),
           device(app_in.power, device_options)
     {}
-
-    bool
-    deviceOn() const
-    {
-        return device.on();
-    }
 
     /**
      * Honor an admission's side requests before its threshold: a
@@ -138,61 +117,31 @@ struct Trial
     }
 
     /**
-     * Run one task as a commitment the attached observer can audit: the
-     * policy (plus any supervisor margin) admitted it at the current
-     * voltage against @p need; @p base_need is the bare policy
-     * requirement the supervisor's drift estimator compares against.
-     * Emits the TaskStart/TaskEnd trace pair and the per-task Vmin
-     * histogram when telemetry is attached.
+     * Run one task as a Theorem 1 commitment through the shared
+     * dispatch step, then feed the outcome back to the policy.
      */
     bool
     runCommitted(const SchedTask &task, Volts need, Volts base_need)
     {
         ++tasks_started;
-        const Volts resting = device.restingVoltage();
-        const TaskTel *handles = nullptr;
-        if (tel != nullptr) {
-            handles = &taskTel(task);
-            const double now_s = device.now().value();
-            tel->emit(telemetry::EventKind::VsafeUpdate, now_s,
-                      resting.value(), handles->name_id, need.value());
-            tel->emit(telemetry::EventKind::TaskStart, now_s,
-                      resting.value(), handles->name_id, need.value());
-        }
-        device.notifyCommit(task.name, resting, need);
-        harness::RunOptions options;
-        options.dt = harness::chooseDt(task.profile);
-        options.settle_rebound = false;
-        const harness::RunResult run =
-            harness::runTask(device, task.profile, options);
-        device.notifyCommitEnd(run.completed);
-        if (tel != nullptr) {
-            tel->emit(telemetry::EventKind::TaskEnd,
-                      device.now().value(), run.vend_loaded.value(),
-                      handles->name_id, run.vmin.value(),
-                      run.completed);
-            handles->vmin->record(run.vmin.value());
-        }
-        if (sup != nullptr) {
-            sup->noteOutcome(task.name, run.completed, resting,
-                             base_need, run.vmin, device.voff(),
-                             device.now());
-        }
+        const dispatch::Commit commit = dispatch::commit(
+            device, sup, task.name, task.profile, need, base_need,
+            tel != nullptr ? &taskTel(task) : nullptr, /*audit=*/true);
         TaskOutcome outcome;
         outcome.task = &task;
-        outcome.completed = run.completed;
-        outcome.started_at = resting;
+        outcome.completed = commit.run.completed;
+        outcome.started_at = commit.resting;
         outcome.need = need;
         outcome.base_need = base_need;
-        outcome.vmin = run.vmin;
-        outcome.vend = run.vend_loaded;
+        outcome.vmin = commit.run.vmin;
+        outcome.vend = commit.run.vend_loaded;
         outcome.voff = device.voff();
         outcome.harvest = device.harvestNow();
         outcome.now = device.now();
         policy.observe(outcome);
-        if (run.completed)
+        if (commit.run.completed)
             ++tasks_completed;
-        return run.completed;
+        return commit.run.completed;
     }
 
     /**
@@ -254,26 +203,20 @@ struct Trial
             }
             applyAdmission(task_admission);
             const Volts base_need = task_admission.need;
-            Volts task_need = base_need;
-            if (sup != nullptr) {
-                const Admission admission = sup->admitTask(
-                    task.name, base_need, device.vhigh(), device.now());
-                if (!admission.admit) {
-                    ++stats.lost; // Shed mid-chain (demotion).
-                    return;
-                }
-                task_need = admission.need;
+            const Admission admission =
+                dispatch::admit(sup, task.name, base_need, device);
+            if (!admission.admit) {
+                ++stats.lost; // Shed mid-chain (demotion).
+                return;
             }
-            wait = device.idleUntilVoltage(task_need, deadline);
+            wait = dispatch::wait(device, sup, task.name, admission.need,
+                                  deadline);
             if (!wait.reached()) {
-                if (sup != nullptr &&
-                    wait.status == sim::WaitStatus::Unreachable)
-                    sup->noteUnreachable(task.name, device.now());
                 idleOutWindow(wait, deadline);
                 ++stats.lost;
                 return;
             }
-            if (!runCommitted(task, task_need, base_need)) {
+            if (!runCommitted(task, admission.need, base_need)) {
                 // Brown-out mid-chain: the event is lost and the device
                 // must fully recharge before doing anything else.
                 ++stats.lost;
@@ -375,7 +318,7 @@ runSeededTrial(const AppSpec &app, Policy &policy,
             if (trial.device.now() >
                 event.arrival + spec.deadline) {
                 ++stats.lost; // Expired while the device was busy/off.
-            } else if (!trial.deviceOn()) {
+            } else if (!trial.device.on()) {
                 ++stats.lost; // Device is off recharging.
             } else {
                 trial.serviceEvent(event, stats);
@@ -402,7 +345,7 @@ runSeededTrial(const AppSpec &app, Policy &policy,
         const Seconds wait_deadline =
             target - trial.device.options().idle_dt;
 
-        if (!trial.deviceOn()) {
+        if (!trial.device.on()) {
             const sim::WaitResult wait =
                 trial.device.rechargeUntilOn(wait_deadline);
             if (!wait.reached())
@@ -420,33 +363,25 @@ runSeededTrial(const AppSpec &app, Policy &policy,
                 trial.policy.admitBackground(app);
             trial.applyAdmission(bg_admission);
             const Volts threshold = bg_admission.need;
-            bool admitted = bg_admission.admit;
-            Volts bg_need = threshold;
-            if (admitted && trial.sup != nullptr) {
-                const Admission admission = trial.sup->admitTask(
-                    app.background->name, threshold,
-                    trial.device.vhigh(), trial.device.now());
-                admitted = admission.admit;
-                bg_need = admission.need;
-            }
-            if (!admitted) {
+            const Admission admission =
+                bg_admission.admit
+                    ? dispatch::admit(trial.sup, app.background->name,
+                                      threshold, trial.device)
+                    : bg_admission;
+            if (!admission.admit) {
                 // Shed this slot but keep the pacing clock running so
                 // a demoted background task costs one skipped period,
                 // not a tight re-admission poll.
                 last_background = trial.device.now();
-            } else if (trial.device.observedVoltage() >= bg_need) {
-                trial.runCommitted(*app.background, bg_need, threshold);
+            } else if (trial.device.observedVoltage() >= admission.need) {
+                trial.runCommitted(*app.background, admission.need,
+                                   threshold);
                 ++trial.result.background_runs;
                 last_background = trial.device.now();
             } else {
-                const sim::WaitResult wait =
-                    trial.device.idleUntilVoltage(bg_need,
-                                                  wait_deadline);
-                if (trial.sup != nullptr &&
-                    wait.status == sim::WaitStatus::Unreachable) {
-                    trial.sup->noteUnreachable(app.background->name,
-                                               trial.device.now());
-                }
+                const sim::WaitResult wait = dispatch::wait(
+                    trial.device, trial.sup, app.background->name,
+                    admission.need, wait_deadline);
                 if (wait.status == sim::WaitStatus::DeadlineExpired ||
                     wait.status == sim::WaitStatus::Unreachable)
                     trial.device.idleUntil(target);

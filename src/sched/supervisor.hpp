@@ -5,8 +5,9 @@
  * was measured on (capacitance fade, ESR growth, leakage creep — see
  * fault/degradation.hpp).
  *
- * The supervisor wraps any sched::Policy without replacing it. Callers
- * (sched/engine, runtime/intermittent) ask it to *admit* each dispatch:
+ * The supervisor wraps any sched::Policy without replacing it. Both
+ * dispatch loops (sched/engine, runtime/intermittent) ask it, through
+ * the shared steps in sched/dispatch.hpp, to *admit* each dispatch:
  * the policy supplies the base requirement, the supervisor layers an
  * adaptive per-task margin on top and can refuse the dispatch outright.
  * After every attempt the caller reports the outcome, which drives

@@ -143,7 +143,7 @@ WaitResult
 Device::idleUntilVoltage(Volts need, Seconds deadline)
 {
     const WaitResult result =
-        waitForVoltage(need, deadline, /*stop_when_off=*/true);
+        waitLoop(need, deadline, /*stop_when_off=*/true);
     noteWait(result);
     return result;
 }
@@ -152,7 +152,7 @@ WaitResult
 Device::rechargeTo(Volts need)
 {
     const Volts enter_voltage = system_.restingVoltage();
-    const WaitResult result = waitForVoltage(
+    const WaitResult result = waitLoop(
         need, Seconds(std::numeric_limits<double>::infinity()),
         /*stop_when_off=*/false);
     noteRecharge(enter_voltage, need, result);
@@ -160,12 +160,27 @@ Device::rechargeTo(Volts need)
 }
 
 WaitResult
-Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
+Device::rechargeUntilOn(Seconds deadline)
+{
+    const Volts enter_voltage = system_.restingVoltage();
+    const WaitResult result =
+        waitLoop(std::nullopt, deadline, /*stop_when_off=*/false);
+    noteRecharge(enter_voltage, system_.vhigh(), result);
+    return result;
+}
+
+WaitResult
+Device::waitLoop(std::optional<Volts> level, Seconds deadline,
+                 bool stop_when_off)
 {
     WaitResult result;
     const Seconds start = system_.now();
     const bool fast = fastEligible();
     const bool harvest_const = harvestConstant();
+    // Without a level the goal is the monitor re-enabling the output,
+    // which happens at Vhigh: that is the level that must be reachable.
+    const char *what =
+        level.has_value() ? "voltage threshold" : "monitor re-arm level";
 
     // Euler-backend stall detection state: re-anchored on any resting-
     // voltage movement beyond stall_epsilon (progress in either
@@ -176,7 +191,7 @@ Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
 
     while (true) {
         result.voltage = system_.observedRestingVoltage();
-        if (result.voltage >= need) {
+        if (level.has_value() ? result.voltage >= *level : on()) {
             result.status = WaitStatus::Reached;
             break;
         }
@@ -188,6 +203,7 @@ Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
             result.status = WaitStatus::BrownedOut;
             break;
         }
+        const Volts target = level.value_or(system_.vhigh());
         if (fast) {
             // Constant harvest, fixed monitor regime: the equilibrium
             // test is exact. While a brown-out would end the wait the
@@ -198,17 +214,16 @@ Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
             // advancing toward its deadline.
             if (harvest_const) {
                 const Amps net = system_.idleNetCurrentAt(
-                    justBelow(need), /*with_output_draw=*/stop_when_off);
+                    justBelow(target), /*with_output_draw=*/stop_when_off);
                 if (net.value() >= 0.0) {
                     result.status = WaitStatus::Unreachable;
-                    result.diagnostic = unreachableDiagnostic(
-                        "voltage threshold", need, net);
+                    result.diagnostic =
+                        unreachableDiagnostic(what, target, net);
                     break;
                 }
             }
-            advanceIdleChunk(need, /*stop_when_enabled=*/false,
-                             /*stop_on_failure=*/stop_when_off, deadline,
-                             start);
+            advanceIdleChunk(level, /*stop_on_failure=*/stop_when_off,
+                             deadline, start);
         } else {
             const Volts resting = system_.restingVoltage();
             if (std::abs(resting.value() - anchor_v.value()) >
@@ -219,10 +234,9 @@ Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
                 result.status = WaitStatus::Unreachable;
                 char buf[160];
                 std::snprintf(buf, sizeof(buf),
-                              "voltage threshold %.4f V is unreachable: "
-                              "resting voltage stalled at %.4f V for "
-                              "%.1f s",
-                              need.value(), resting.value(),
+                              "%s %.4f V is unreachable: resting voltage "
+                              "stalled at %.4f V for %.1f s",
+                              what, target.value(), resting.value(),
                               options_.stall_window.value());
                 result.diagnostic = buf;
                 break;
@@ -231,78 +245,13 @@ Device::waitForVoltage(Volts need, Seconds deadline, bool stop_when_off)
         }
     }
     result.elapsed = system_.now() - start;
-    return result;
-}
-
-WaitResult
-Device::rechargeUntilOn(Seconds deadline)
-{
-    WaitResult result;
-    const Seconds start = system_.now();
-    const Volts enter_voltage = system_.restingVoltage();
-    const bool fast = fastEligible();
-    const bool harvest_const = harvestConstant();
-    Volts anchor_v = enter_voltage;
-    Seconds anchor_t = start;
-
-    while (true) {
-        result.voltage = system_.observedRestingVoltage();
-        if (on()) {
-            result.status = WaitStatus::Reached;
-            break;
-        }
-        if (system_.now() > deadline) {
-            result.status = WaitStatus::DeadlineExpired;
-            break;
-        }
-        if (fast) {
-            // Browned out: no output draw; the monitor re-arms at
-            // Vhigh, so that is the level that must be reachable. The
-            // equilibrium test only holds for strictly constant
-            // harvest; a piecewise field may improve in a later piece.
-            if (harvest_const) {
-                const Amps net = system_.idleNetCurrentAt(
-                    justBelow(system_.vhigh()),
-                    /*with_output_draw=*/false);
-                if (net.value() >= 0.0) {
-                    result.status = WaitStatus::Unreachable;
-                    result.diagnostic = unreachableDiagnostic(
-                        "monitor re-arm level", system_.vhigh(), net);
-                    break;
-                }
-            }
-            advanceIdleChunk(std::nullopt, /*stop_when_enabled=*/true,
-                             /*stop_on_failure=*/false, deadline, start);
-        } else {
-            const Volts resting = system_.restingVoltage();
-            if (std::abs(resting.value() - anchor_v.value()) >
-                options_.stall_epsilon.value()) {
-                anchor_v = resting;
-                anchor_t = system_.now();
-            } else if (system_.now() - anchor_t >= options_.stall_window) {
-                result.status = WaitStatus::Unreachable;
-                char buf[160];
-                std::snprintf(buf, sizeof(buf),
-                              "monitor re-arm level %.4f V is "
-                              "unreachable: resting voltage stalled at "
-                              "%.4f V for %.1f s",
-                              system_.vhigh().value(), resting.value(),
-                              options_.stall_window.value());
-                result.diagnostic = buf;
-                break;
-            }
-            system_.step(options_.idle_dt, Amps(0.0));
-        }
-    }
-    result.elapsed = system_.now() - start;
-    noteRecharge(enter_voltage, system_.vhigh(), result);
     return result;
 }
 
 void
 Device::advanceIdleChunk(std::optional<Volts> stop_level,
-                         bool stop_when_enabled, bool stop_on_failure,
-                         Seconds deadline, Seconds anchor)
+                         bool stop_on_failure, Seconds deadline,
+                         Seconds anchor)
 {
     const double dt = options_.idle_dt.value();
     const double now = system_.now().value();
@@ -329,7 +278,7 @@ Device::advanceIdleChunk(std::optional<Volts> stop_level,
     seg.fallback_dt = options_.idle_dt;
     seg.stop_on_failure = stop_on_failure;
     seg.stop_above_resting = stop_level;
-    seg.stop_when_enabled = stop_when_enabled;
+    seg.stop_when_enabled = !stop_level.has_value();
     system_.runSegment(Seconds(chunk), Amps(0.0), seg);
     snapToGrid(anchor);
 }

@@ -198,7 +198,6 @@ class Device
     Watts harvestNow() const { return Watts(system_.harvestNow()); }
     /** Brown-out state: is the output booster currently enabled? */
     bool on() const { return system_.monitor().enabled(); }
-    bool deviceOn() const { return on(); }
     Volts restingVoltage() const { return system_.restingVoltage(); }
     /** Resting voltage through the attached ADC error model, if any. */
     Volts observedVoltage() { return system_.observedRestingVoltage(); }
@@ -271,16 +270,18 @@ class Device
         const Harvester *h = system_.harvester();
         return h == nullptr || h->constantPower().has_value();
     }
-    WaitResult waitForVoltage(Volts need, Seconds deadline,
-                              bool stop_when_off);
+    /** The one wait loop; without a @p level the goal is "monitor on". */
+    WaitResult waitLoop(std::optional<Volts> level, Seconds deadline,
+                        bool stop_when_off);
     /**
      * One fast-path wait quantum: an analytic chunk bounded by the
      * first tick boundary past the deadline, then a pad back onto the
-     * tick grid if a stop condition cut the chunk short.
+     * tick grid if a stop condition (@p stop_level, else monitor on)
+     * cut the chunk short.
      */
     void advanceIdleChunk(std::optional<Volts> stop_level,
-                          bool stop_when_enabled, bool stop_on_failure,
-                          Seconds deadline, Seconds anchor);
+                          bool stop_on_failure, Seconds deadline,
+                          Seconds anchor);
     void snapToGrid(Seconds anchor);
 
     /** Metric handles resolved once in setTelemetry (lock-free updates). */

@@ -72,7 +72,10 @@ TEST(DeviceWait, ZeroHarvestThresholdIsUnreachable)
     const WaitResult wait =
         device.idleUntilVoltage(Volts(2.1), Seconds(600.0));
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
-    EXPECT_FALSE(wait.diagnostic.empty());
+    EXPECT_EQ(wait.diagnostic,
+              "voltage threshold 2.1000 V is unreachable: idle net buffer "
+              "current +5.512e-05 A at the target (harvest cannot "
+              "outpace draw)");
     // The fast path proves unreachability from the equilibrium current;
     // no simulated time is wasted idling toward the timeout.
     EXPECT_LT(device.now().value(), 1.0);
@@ -88,7 +91,10 @@ TEST(DeviceWait, ThresholdAboveVhighIsUnreachable)
     const WaitResult wait = device.idleUntilVoltage(
         device.vhigh() + Volts(0.1), Seconds(600.0));
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
-    EXPECT_FALSE(wait.diagnostic.empty());
+    EXPECT_EQ(wait.diagnostic,
+              "voltage threshold 2.6600 V is unreachable: idle net buffer "
+              "current +5.512e-05 A at the target (harvest cannot "
+              "outpace draw)");
 }
 
 TEST(DeviceWait, EulerBackendDetectsUnreachableByStall)
@@ -104,7 +110,9 @@ TEST(DeviceWait, EulerBackendDetectsUnreachableByStall)
     const WaitResult wait =
         device.idleUntilVoltage(Volts(2.1), Seconds(600.0));
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
-    EXPECT_FALSE(wait.diagnostic.empty());
+    EXPECT_EQ(wait.diagnostic,
+              "voltage threshold 2.1000 V is unreachable: resting voltage "
+              "stalled at 1.8991 V for 0.5 s");
     // Detection costs one stall window, not the full timeout.
     EXPECT_LT(device.now().value(), 1.0);
 }
@@ -153,7 +161,31 @@ TEST(DeviceWait, RechargeUntilOnWithoutHarvestIsUnreachable)
     device.setBufferVoltage(Volts(1.8));
     const WaitResult wait = device.rechargeUntilOn(Seconds(600.0));
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
-    EXPECT_FALSE(wait.diagnostic.empty());
+    EXPECT_EQ(wait.diagnostic,
+              "monitor re-arm level 2.5600 V is unreachable: idle net buffer "
+              "current +1.200e-07 A at the target (harvest cannot outpace "
+              "draw)");
+    EXPECT_LT(device.now().value(), 1.0);
+}
+
+TEST(DeviceWait, EulerRechargeUntilOnDetectsStall)
+{
+    // The re-arm counterpart of the stall test above: a browned-out
+    // device with no harvester never re-arms, and the Euler backend
+    // (no closed-form reachability test) proves it by the stall window.
+    DeviceOptions options;
+    options.allow_fast_path = false;
+    options.stall_window = Seconds(0.5);
+    options.stall_epsilon = Volts(5e-3);
+    Device device(sim::capybaraConfig(), options);
+    device.setBufferVoltage(Volts(1.8));
+    ASSERT_FALSE(device.on());
+    const WaitResult wait = device.rechargeUntilOn(Seconds(600.0));
+    EXPECT_EQ(wait.status, WaitStatus::Unreachable);
+    EXPECT_EQ(wait.diagnostic,
+              "monitor re-arm level 2.5600 V is unreachable: resting voltage "
+              "stalled at 1.8000 V for 0.5 s");
+    EXPECT_FALSE(device.on());
     EXPECT_LT(device.now().value(), 1.0);
 }
 
