@@ -14,7 +14,6 @@
 #include "core/vsafe_multi.hpp"
 #include "core/vsafe_pg.hpp"
 #include "harness/ground_truth.hpp"
-#include "harness/vsafe_cache.hpp"
 #include "load/library.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
@@ -85,8 +84,7 @@ main()
                     task.name(), pg.vsafe, pg.vdelta, model.voff));
             }
 
-            const auto truth = harness::VsafeCache::global().findOrCompute(
-                cfg, combined);
+            const auto truth = harness::findTrueVsafe(cfg, combined);
             row.truth = truth.vsafe.value();
 
             // No penalty: energy increments only.

@@ -17,7 +17,6 @@
 #include "core/vsafe_pg.hpp"
 #include "harness/baselines.hpp"
 #include "harness/ground_truth.hpp"
-#include "harness/vsafe_cache.hpp"
 #include "load/library.hpp"
 #include "util/parallel.hpp"
 
@@ -50,7 +49,7 @@ main()
             est_radio = harness::estimateBaselines(cfg, radio);
             break;
         default:
-            truth = harness::VsafeCache::global().findOrCompute(cfg, both);
+            truth = harness::findTrueVsafe(cfg, both);
             break;
         }
     });

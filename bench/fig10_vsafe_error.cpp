@@ -19,7 +19,6 @@
 #include "harness/baselines.hpp"
 #include "harness/ground_truth.hpp"
 #include "harness/profiling.hpp"
-#include "harness/vsafe_cache.hpp"
 #include "load/library.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
@@ -95,8 +94,7 @@ main()
     const std::vector<Row> rows = util::parallelMap(
         points, [&](const Point &pt) {
             Row row;
-            const auto truth = harness::VsafeCache::global().findOrCompute(
-                cfg, pt.profile);
+            const auto truth = harness::findTrueVsafe(cfg, pt.profile);
             row.truth = truth.vsafe.value();
             const auto baselines =
                 harness::estimateBaselines(cfg, pt.profile);

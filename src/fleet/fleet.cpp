@@ -109,7 +109,7 @@ sampleDevice(const FleetSpec &spec, std::size_t index)
     rec.cap_scale =
         rng.uniform(spec.capacitance_scale.lo, spec.capacitance_scale.hi);
     rec.esr_scale = rng.uniform(spec.esr_scale.lo, spec.esr_scale.hi);
-    rec.trial_seed = spec.seed + index * spec.seed_stride;
+    rec.trial_seed = spec.seed + index * sched::kSeedStride;
     return rec;
 }
 

@@ -86,10 +86,11 @@ struct FleetSpec
     const env::HarvestField *field = nullptr;
     /** Simulated time each device runs for. */
     Seconds duration{300.0};
-    /** Root seed: drives sampling and every per-device trial stream. */
+    /**
+     * Root seed: drives sampling and every per-device trial stream.
+     * The trial seed of device i is seed + i * sched::kSeedStride.
+     */
     std::uint64_t seed = 7;
-    /** Trial seed of device i is seed + i * seed_stride. */
-    std::uint64_t seed_stride = 1000003ULL;
 };
 
 /** Execution knobs: where devices run and where telemetry goes. */

@@ -84,6 +84,8 @@ runProgram(sim::Device &device, const std::vector<AtomicTask> &program,
         while (true) {
             if (device.now() >= deadline) {
                 result.elapsed = device.now();
+                result.power_failures =
+                    device.system().monitor().powerFailures();
                 return result; // Timed out; finished stays false.
             }
 

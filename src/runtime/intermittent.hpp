@@ -131,7 +131,7 @@ struct RuntimeOptions
  * Execute @p program on @p device (with whatever harvester the caller
  * attached) under @p options. The device should be charged and enabled,
  * or the runtime will first wait for the monitor to enable it. Idle and
- * recharge waits run at the device's idle_dt decision tick and use the
+ * recharge waits run at the sim::kIdleDt decision tick and use the
  * analytic fast path whenever the device is instrumentation-free.
  */
 ProgramResult runProgram(sim::Device &device,

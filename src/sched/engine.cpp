@@ -156,7 +156,7 @@ struct Trial
             return;
         device.idleUntil(deadline);
         while (device.now() <= deadline)
-            device.idleFor(device.options().idle_dt);
+            device.idleFor(sim::kIdleDt);
     }
 
     /**
@@ -342,8 +342,7 @@ runSeededTrial(const AppSpec &app, Policy &policy,
             target = std::min(target, arrivals[i].arrival);
             break;
         }
-        const Seconds wait_deadline =
-            target - trial.device.options().idle_dt;
+        const Seconds wait_deadline = target - sim::kIdleDt;
 
         if (!trial.device.on()) {
             const sim::WaitResult wait =
@@ -400,7 +399,7 @@ runSeededTrial(const AppSpec &app, Policy &policy,
             // The sum above can round below now() while the difference
             // form still reads not-yet-due; tick once and re-evaluate,
             // exactly as the per-tick loop did.
-            trial.device.idleFor(trial.device.options().idle_dt);
+            trial.device.idleFor(sim::kIdleDt);
         }
     }
 
@@ -517,7 +516,7 @@ runTrialsWith(const AppSpec &app, Policy &policy,
         }
         run.result =
             runSeededTrial(app, policy, config,
-                           config.seed + t * config.seed_stride,
+                           config.seed + t * kSeedStride,
                            run.scratch.get());
         if (run.scratch != nullptr)
             run.result.telemetry = run.scratch->summary();

@@ -76,6 +76,13 @@ struct TrialResult
 };
 
 /**
+ * Seed distance between consecutive trials of a sweep (and devices of
+ * a fleet): a large prime, so neighbouring arrival streams share no
+ * structure.
+ */
+inline constexpr std::uint64_t kSeedStride = 1000003ULL;
+
+/**
  * Everything configurable about a trial (or a sweep of trials) beyond
  * the app and the policy. Defaults run one clean 300 s trial: no
  * instrumentation, no telemetry, analytic fast path allowed.
@@ -84,12 +91,13 @@ struct TrialConfig
 {
     /** Simulated length of each trial. */
     Seconds duration{300.0};
-    /** Arrival-process seed (first trial of a sweep). */
+    /**
+     * Arrival-process seed of the first trial of a sweep; trial t runs
+     * at seed + t * kSeedStride.
+     */
     std::uint64_t seed = 7;
     /** Trial count for runTrialsWith(); runTrialWith() ignores it. */
     unsigned trials = 1;
-    /** Seed for trial t of a sweep is seed + t * seed_stride. */
-    std::uint64_t seed_stride = 1000003ULL;
     /**
      * Force the per-tick Euler wait backend even when no instruments
      * are attached — the reference baseline for the device fast path

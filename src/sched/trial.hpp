@@ -98,12 +98,6 @@ class TrialBuilder
         return *this;
     }
 
-    TrialBuilder &seedStride(std::uint64_t stride)
-    {
-        config_.seed_stride = stride;
-        return *this;
-    }
-
     /** Force the per-tick Euler wait backend (reference baseline). */
     TrialBuilder &forceEuler(bool force = true)
     {

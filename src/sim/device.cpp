@@ -48,13 +48,6 @@ unreachableDiagnostic(const char *what, Volts need, Amps net)
 
 } // namespace
 
-Device::Device(PowerSystemConfig config, DeviceOptions options)
-    : system_(std::move(config)), options_(options)
-{
-    log::fatalIf(options_.idle_dt.value() <= 0.0,
-                 "Device idle_dt must be positive");
-}
-
 void
 Device::setTelemetry(telemetry::Telemetry *telemetry)
 {
@@ -127,11 +120,9 @@ Device::noteLoad(const LoadResult &result)
     tcache_.loads->add();
     tcache_.min_margin->record(result.vmin.value() - system_.voff().value());
     const double t = system_.now().value();
-    if (telemetry_->sampleTick()) {
-        telemetry_->emit(telemetry::EventKind::VminRecord, t,
-                         result.vend.value(), 0, result.vmin.value(),
-                         result.completed);
-    }
+    telemetry_->emit(telemetry::EventKind::VminRecord, t,
+                     result.vend.value(), 0, result.vmin.value(),
+                     result.completed);
     if (result.power_failed) {
         tcache_.brownouts->add();
         telemetry_->emit(telemetry::EventKind::BrownOut, t,
@@ -241,7 +232,7 @@ Device::waitLoop(std::optional<Volts> level, Seconds deadline,
                 result.diagnostic = buf;
                 break;
             }
-            system_.step(options_.idle_dt, Amps(0.0));
+            system_.step(kIdleDt, Amps(0.0));
         }
     }
     result.elapsed = system_.now() - start;
@@ -253,7 +244,7 @@ Device::advanceIdleChunk(std::optional<Volts> stop_level,
                          bool stop_on_failure, Seconds deadline,
                          Seconds anchor)
 {
-    const double dt = options_.idle_dt.value();
+    const double dt = kIdleDt.value();
     const double now = system_.now().value();
 
     // The chunk ends on the first tick boundary strictly past the
@@ -275,7 +266,7 @@ Device::advanceIdleChunk(std::optional<Volts> stop_level,
     chunk = std::min(chunk, kMaxIdleChunk);
 
     SegmentOptions seg;
-    seg.fallback_dt = options_.idle_dt;
+    seg.fallback_dt = kIdleDt;
     seg.stop_on_failure = stop_on_failure;
     seg.stop_above_resting = stop_level;
     seg.stop_when_enabled = !stop_level.has_value();
@@ -286,7 +277,7 @@ Device::advanceIdleChunk(std::optional<Volts> stop_level,
 void
 Device::snapToGrid(Seconds anchor)
 {
-    const double dt = options_.idle_dt.value();
+    const double dt = kIdleDt.value();
     const double done = (system_.now().value() - anchor.value()) / dt;
     const double pad = (std::ceil(done - 1e-9) - done) * dt;
     // A root-found stop lands mid-tick; pad with one sub-tick zero-load
@@ -300,7 +291,7 @@ Device::idleFor(Seconds duration)
 {
     if (duration.value() <= 0.0)
         return;
-    const double dt = options_.idle_dt.value();
+    const double dt = kIdleDt.value();
     const Seconds start = system_.now();
     // At least one tick: the per-tick loops this mirrors always took a
     // full step for any positive remaining duration, and a zero-tick
@@ -315,7 +306,7 @@ Device::idleFor(Seconds duration)
             const double chunk = std::min(
                 end.value() - system_.now().value(), kMaxIdleChunk);
             SegmentOptions seg;
-            seg.fallback_dt = options_.idle_dt;
+            seg.fallback_dt = kIdleDt;
             seg.stop_on_failure = false;
             system_.runSegment(Seconds(chunk), Amps(0.0), seg);
         }
@@ -325,7 +316,7 @@ Device::idleFor(Seconds duration)
         // subtraction can leave a rounding sliver above zero and take
         // one tick more than the grid count the fast path uses.
         for (long i = 0; i < ticks; ++i)
-            system_.step(options_.idle_dt, Amps(0.0));
+            system_.step(kIdleDt, Amps(0.0));
     }
 }
 
@@ -406,22 +397,22 @@ Device::runLoad(const load::CurrentProfile &profile,
 }
 
 Volts
-Device::settle(const SettleOptions &options)
+Device::settle(LoadStepDriver *driver)
 {
-    const Seconds deadline = system_.now() + options.timeout;
+    const Seconds deadline = system_.now() + kSettleTimeout;
     Volts window_start = system_.restingVoltage();
     Seconds window_elapsed{0.0};
     while (system_.now() < deadline) {
         Amps demand{0.0};
-        if (options.driver != nullptr)
-            demand += options.driver->overheadCurrent();
-        const StepResult step = system_.step(options.dt, demand);
-        if (options.driver != nullptr)
-            options.driver->onStep(options.dt, step.terminal);
+        if (driver != nullptr)
+            demand += driver->overheadCurrent();
+        const StepResult step = system_.step(kSettleDt, demand);
+        if (driver != nullptr)
+            driver->onStep(kSettleDt, step.terminal);
 
-        window_elapsed += options.dt;
-        if (window_elapsed >= options.window) {
-            if (step.terminal - window_start < options.epsilon)
+        window_elapsed += kSettleDt;
+        if (window_elapsed >= kSettleWindow) {
+            if (step.terminal - window_start < kSettleEpsilon)
                 break;
             window_start = step.terminal;
             window_elapsed = Seconds(0.0);

@@ -309,7 +309,7 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
         }
 
         // Adaptive macro step: the largest dt over which the net current
-        // stays constant to within options.current_tolerance, probed on
+        // stays constant to within kCurrentTolerance, probed on
         // a copy of the buffer state. The controller is proportional:
         // the drift is ~linear in dt within a regime, so a rejected
         // probe predicts the acceptable step directly instead of
@@ -324,7 +324,7 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
         double net1 = net0;
         bool at_floor = false;
         const double bound =
-            std::max(1e-6, options.current_tolerance * std::abs(net0));
+            std::max(1e-6, kCurrentTolerance * std::abs(net0));
         while (true) {
             if (dt_try <= fallback * (1.0 + 1e-9)) {
                 at_floor = true;

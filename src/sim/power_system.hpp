@@ -54,6 +54,15 @@ struct StepResult
     bool forced_brownout = false;
 };
 
+/**
+ * Macro-step acceptance bound of the fast path: the relative drift of
+ * the net buffer current across an analytic macro step. The committed
+ * step uses the trapezoidal (endpoint-mean) current, so the residual
+ * terminal-voltage error is second order in this tolerance — a few mV,
+ * even under heavy aging.
+ */
+inline constexpr double kCurrentTolerance = 0.025;
+
 /** Controls for one runSegment() call. */
 struct SegmentOptions
 {
@@ -67,14 +76,6 @@ struct SegmentOptions
     bool stop_on_failure = true;
     /** Permit the closed-form fast path (false forces Euler stepping). */
     bool allow_analytic = true;
-    /**
-     * Macro-step acceptance bound of the fast path: the relative drift
-     * of the net buffer current across an analytic macro step. The
-     * committed step uses the trapezoidal (endpoint-mean) current, so
-     * the residual terminal-voltage error is second order in this
-     * tolerance — a few mV at the default, even under heavy aging.
-     */
-    double current_tolerance = 0.025;
     /**
      * Stop (from below) once the resting voltage reaches this level.
      * The analytic path root-finds the crossing inside a macro step;

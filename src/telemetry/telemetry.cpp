@@ -19,16 +19,6 @@ Telemetry::Telemetry(TelemetryConfig config)
 {
 }
 
-bool
-Telemetry::sampleTick()
-{
-    if (config_.sample_every <= 1)
-        return true;
-    const bool keep = sample_phase_ == 0;
-    sample_phase_ = (sample_phase_ + 1) % config_.sample_every;
-    return keep;
-}
-
 void
 Telemetry::emit(EventKind kind, double time_s, double voltage_v,
                 std::uint32_t name_id, double value, bool flag)

@@ -143,8 +143,7 @@ TEST(FleetSampling, PureFunctionOfSeedAndIndex)
         EXPECT_LE(a.cap_scale, fx.spec.capacitance_scale.hi);
         EXPECT_GE(a.esr_scale, fx.spec.esr_scale.lo);
         EXPECT_LE(a.esr_scale, fx.spec.esr_scale.hi);
-        EXPECT_EQ(a.trial_seed,
-                  fx.spec.seed + i * fx.spec.seed_stride);
+        EXPECT_EQ(a.trial_seed, fx.spec.seed + i * sched::kSeedStride);
     }
     // Positions actually spread (the draw is index-sensitive).
     const fleet::DeviceRecord d0 = fleet::sampleDevice(fx.spec, 0);

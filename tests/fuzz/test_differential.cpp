@@ -37,7 +37,6 @@
 #include "harness/baselines.hpp"
 #include "harness/ground_truth.hpp"
 #include "harness/profiling.hpp"
-#include "harness/vsafe_cache.hpp"
 #include "mcu/adc.hpp"
 #include "runtime/intermittent.hpp"
 #include "sched/policy.hpp"
@@ -157,8 +156,7 @@ runAdmissionScenario(std::uint64_t seed)
     const fault::TaskScenario scenario = fault::randomTaskScenario(seed);
 
     const harness::GroundTruth truth =
-        harness::VsafeCache::global().findOrCompute(scenario.config,
-                                                    scenario.profile);
+        harness::findTrueVsafe(scenario.config, scenario.profile);
     if (!truth.feasible)
         return v; // Task too heavy for this buffer even from Vhigh.
     v.feasible = true;

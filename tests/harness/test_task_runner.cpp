@@ -82,12 +82,19 @@ TEST(RunTask, SettleDisabledSkipsRebound)
 
 TEST(RunTask, SettleRespectsTimeout)
 {
-    RunOptions options;
-    options.settle_timeout = Seconds(0.05);
-    const RunResult result = runTaskFrom(
-        sim::capybaraConfig(), Volts(2.4), load::uniform(25.0_mA, 50.0_ms),
-        options);
-    EXPECT_LE((result.settle_end - result.task_end).value(), 0.06);
+    // Under constant harvest the resting voltage keeps rising after the
+    // rebound, so only the timeout can end the settle wait.
+    const sim::ConstantHarvester harvester(Watts(10e-3));
+    sim::Device device(sim::capybaraConfig());
+    device.setHarvester(&harvester);
+    device.setBufferVoltage(Volts(2.0));
+    device.forceOutputEnabled(true);
+    const RunResult result =
+        runTask(device, load::uniform(25.0_mA, 50.0_ms));
+    ASSERT_TRUE(result.completed);
+    const double settled = (result.settle_end - result.task_end).value();
+    EXPECT_GE(settled, sim::kSettleTimeout.value() - 1e-9);
+    EXPECT_LE(settled, (sim::kSettleTimeout + sim::kSettleDt).value());
 }
 
 TEST(RunTask, StopOnFailureHaltsEarly)

@@ -123,6 +123,28 @@ TEST(IntermittentRuntime, DetectsNonterminatingTask)
     EXPECT_GE(result.per_task[0].failures, 3u);
 }
 
+TEST(IntermittentRuntime, TimeoutReportsPowerFailures)
+{
+    // 1 mW cannot refill the buffer for the radio within 3 s, so the
+    // opportunistic run browns out and then times out recharging; the
+    // timeout exit must still report the brown-outs it saw.
+    const sim::ConstantHarvester harvester(Watts(1e-3));
+    sim::Device device = chargedDevice(&harvester);
+    device.setBufferVoltage(Volts(1.75));
+
+    RuntimeOptions options;
+    options.policy = DispatchPolicy::Opportunistic;
+    options.timeout = Seconds(3.0);
+    const std::vector<AtomicTask> program = {
+        {1, "radio", load::uniform(50.0_mA, 20.0_ms).renamed("radio")}};
+    const ProgramResult result = runProgram(device, program, options);
+
+    EXPECT_FALSE(result.finished);
+    EXPECT_GE(result.power_failures, 1u);
+    EXPECT_EQ(result.power_failures,
+              device.system().monitor().powerFailures());
+}
+
 TEST(IntermittentRuntime, TimesOutWhenStarved)
 {
     // No harvest and an empty buffer: nothing can ever run.

@@ -7,6 +7,7 @@
 #include "apps/apps.hpp"
 #include "load/library.hpp"
 #include "sched/trial.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -154,6 +155,51 @@ TEST(Engine, AggregateAveragesTrials)
         TrialBuilder().app(app).policy(policy).duration(10.0_s).trials(3).runAll();
     EXPECT_EQ(agg.event_names.size(), 1u);
     EXPECT_NEAR(agg.rateOf("ping"), 1.0, 1e-12);
+}
+
+TEST(Engine, SweepTrialsRunAtStridedSeeds)
+{
+    // Trial t of a sweep is the single trial at seed + t * kSeedStride:
+    // the sweep's trace stamped with trial t equals that trial's trace.
+    AppSpec app = simpleApp();
+    app.events[0].arrival = sched::Arrival::Poisson;
+    app.events[0].interval = 1.0_s;
+    FixedPolicy policy;
+    constexpr std::uint64_t kSeed = 5;
+    const auto trial = [&](std::uint64_t seed, telemetry::Telemetry &sink) {
+        return TrialBuilder().app(app).policy(policy).duration(30.0_s)
+            .seed(seed).telemetry(&sink);
+    };
+    telemetry::Telemetry sweep;
+    const AggregateResult agg = trial(kSeed, sweep).trials(3).runAll();
+    ASSERT_EQ(sweep.trace().dropped(), 0u);
+
+    unsigned arrived = 0;
+    for (unsigned t = 0; t < 3; ++t) {
+        SCOPED_TRACE(t);
+        telemetry::Telemetry single;
+        arrived += trial(kSeed + t * sched::kSeedStride, single)
+                       .run()
+                       .eventStats("ping")
+                       .arrived;
+        std::vector<telemetry::TraceEvent> mine;
+        for (const telemetry::TraceEvent &e : sweep.trace().events())
+            if (e.trial == t)
+                mine.push_back(e);
+        const std::vector<telemetry::TraceEvent> theirs =
+            single.trace().events();
+        ASSERT_FALSE(theirs.empty());
+        ASSERT_EQ(mine.size(), theirs.size());
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(mine[i].kind, theirs[i].kind);
+            EXPECT_EQ(mine[i].time_s, theirs[i].time_s);
+            EXPECT_EQ(mine[i].voltage_v, theirs[i].voltage_v);
+            EXPECT_EQ(mine[i].value, theirs[i].value);
+            EXPECT_EQ(mine[i].flag, theirs[i].flag);
+        }
+    }
+    EXPECT_EQ(agg.arrivals.at(0), arrived);
 }
 
 TEST(Engine, OverallCaptureRateWeighsAllEvents)
