@@ -54,7 +54,7 @@ main()
 
     // The charge-rate monitor notices the collapse and triggers a fresh
     // profiling pass at the weak level.
-    sched::ChargeRateMonitor monitor(0.25);
+    sched::ChargeRateMonitor monitor;
     monitor.baseline(strong);
     const bool tripped = monitor.observe(weak);
     sched::CulpeoPolicy reprofiled;

@@ -91,7 +91,7 @@ main()
     noon_profiled.initialize(psAt(kDay[1].harvest));
 
     // Adaptive deployment: re-profile when the monitor trips.
-    sched::ChargeRateMonitor monitor(0.25);
+    sched::ChargeRateMonitor monitor;
     std::vector<sched::CulpeoPolicy> adaptive_policies(std::size(kDay));
     std::vector<sched::Policy *> adaptive(std::size(kDay));
     unsigned reprofiles = 0;

@@ -89,7 +89,6 @@ main()
     device.setBufferVoltage(Volts(2.56));
     device.forceOutputEnabled(true);
     RuntimeOptions options;
-    options.max_attempts_from_full = 3;
     const ProgramResult result = runProgram(
         device,
         {{9, "oversized",

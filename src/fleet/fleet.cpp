@@ -9,6 +9,8 @@
 
 #include "sched/engine.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_log.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -166,14 +168,15 @@ void
 SummaryReport::writeCsv(std::ostream &out) const
 {
     out << "index,cohort,x,y,cap_scale,esr_scale,arrived,captured,"
-           "capture_rate,power_failures,background_runs,sheds\n";
+           "capture_rate,power_failures,background_runs\n";
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const DeviceResult &d = devices[i];
-        out << i << ',' << cohorts[d.cohort].name << ',' << num(d.pos.x)
-            << ',' << num(d.pos.y) << ',' << num(d.cap_scale) << ','
-            << num(d.esr_scale) << ',' << d.arrived << ',' << d.captured
-            << ',' << num(d.captureRate()) << ',' << d.power_failures
-            << ',' << d.background_runs << ',' << d.sheds << '\n';
+        out << i << ',' << util::csvEscape(cohorts[d.cohort].name) << ','
+            << num(d.pos.x) << ',' << num(d.pos.y) << ','
+            << num(d.cap_scale) << ',' << num(d.esr_scale) << ','
+            << d.arrived << ',' << d.captured << ','
+            << num(d.captureRate()) << ',' << d.power_failures << ','
+            << d.background_runs << '\n';
     }
 }
 
@@ -184,14 +187,14 @@ SummaryReport::writeJsonl(std::ostream &out) const
         << ",\"capture_rate\":" << num(overallCaptureRate())
         << ",\"power_failures\":" << totalPowerFailures() << "}\n";
     for (const CohortSummary &c : cohorts) {
-        out << "{\"type\":\"cohort\",\"name\":\"" << c.name
+        out << "{\"type\":\"cohort\",\"name\":\""
+            << telemetry::escapeJson(c.name)
             << "\",\"devices\":" << c.devices
             << ",\"arrived\":" << c.arrived
             << ",\"captured\":" << c.captured
             << ",\"capture_rate\":" << num(c.captureRate())
             << ",\"power_failures\":" << c.power_failures
-            << ",\"background_runs\":" << c.background_runs
-            << ",\"sheds\":" << c.sheds << "}\n";
+            << ",\"background_runs\":" << c.background_runs << "}\n";
     }
     const auto histogram = [&](const char *name, const Histo &h) {
         out << "{\"type\":\"histogram\",\"name\":\"" << name
@@ -205,7 +208,6 @@ SummaryReport::writeJsonl(std::ostream &out) const
     };
     histogram("capture_rate", capture_rate);
     histogram("power_failures", power_failures);
-    histogram("sheds", sheds);
 }
 
 void
@@ -300,8 +302,6 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         }
         run.result.background_runs = trial.background_runs;
         run.result.power_failures = trial.power_failures;
-        if (run.scratch != nullptr)
-            run.result.sheds = unsigned(run.scratch->summary().sheds);
     };
     util::ThreadPool &pool = options.pool != nullptr
                                  ? *options.pool
@@ -315,7 +315,6 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         report.cohorts[i].name = spec.cohorts[i].name;
     report.capture_rate = Histo(0.0, 1.0, 20);
     report.power_failures = Histo(0.0, 16.0, 16);
-    report.sheds = Histo(0.0, 16.0, 16);
 
     // Device-order merge: the pool cannot reorder anything.
     for (DeviceRun &run : runs) {
@@ -326,10 +325,8 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         c.captured += d.captured;
         c.power_failures += d.power_failures;
         c.background_runs += d.background_runs;
-        c.sheds += d.sheds;
         report.capture_rate.add(d.captureRate());
         report.power_failures.add(double(d.power_failures));
-        report.sheds.add(double(d.sheds));
         if (run.scratch != nullptr)
             sink->merge(*run.scratch);
         report.devices.push_back(std::move(run.result));

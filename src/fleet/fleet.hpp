@@ -144,8 +144,6 @@ struct DeviceResult
     unsigned captured = 0;
     unsigned power_failures = 0;
     unsigned background_runs = 0;
-    /** Supervisor load-sheds (0 unless telemetry captured them). */
-    unsigned sheds = 0;
 
     double captureRate() const
     {
@@ -186,7 +184,6 @@ struct CohortSummary
     unsigned captured = 0;
     unsigned power_failures = 0;
     unsigned background_runs = 0;
-    unsigned sheds = 0;
 
     double captureRate() const
     {
@@ -201,7 +198,6 @@ struct SummaryReport
     std::vector<CohortSummary> cohorts;
     Histo capture_rate;   ///< Per-device capture rate, 20 bins on [0, 1].
     Histo power_failures; ///< Per-device brown-out count.
-    Histo sheds;          ///< Per-device supervisor shed count.
 
     double overallCaptureRate() const;
     unsigned totalPowerFailures() const;

@@ -178,7 +178,7 @@ runProgram(sim::Device &device, const std::vector<AtomicTask> &program,
             }
             if (from_full) {
                 ++failures_from_full;
-                if (failures_from_full >= options.max_attempts_from_full) {
+                if (failures_from_full >= kMaxAttemptsFromFull) {
                     result.nonterminating = true;
                     result.stuck_task = task.name;
                     result.elapsed = device.now();

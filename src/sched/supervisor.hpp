@@ -19,15 +19,15 @@
  *     (reconstructed from the observed Vmin) sits above the policy's
  *     base requirement. Positive deficit means dispatching at the base
  *     requirement would brown out. An EWMA of the deficit crossing
- *     -drift_threshold raises a drift alarm and floors the margin at
- *     ewma + drift_slack, so the margin tracks drift *before* the first
+ *     -10 mV raises a drift alarm and floors the margin 15 mV above the
+ *     EWMA, so the margin tracks drift *before* the first
  *     brown-out. The deficit is invariant to the margin itself (both
  *     the admit voltage and the observed Vmin shift together), so the
  *     estimator measures pure model error.
  *
  *  2. Brown-out recovery with bounded retry: each consecutive brown-out
- *     of a task inflates its margin by margin_step * backoff_factor^n
- *     and consumes one retry from retry_budget.
+ *     of a task inflates its margin by 20 mV * 2^n and consumes one
+ *     retry from kRetryBudget.
  *
  *  3. Graceful degradation: when the budget is exhausted, the wait is
  *     proven unreachable, or the inflated requirement exceeds the
@@ -46,9 +46,11 @@
  * Every decision emits a trace event (DriftAlarm, MarginUpdate,
  * TaskRetry, TaskShed, TaskReadmit) and bumps a supervisor.* counter
  * when a telemetry sink is attached; SupervisorStats mirrors the
- * counters unconditionally for telemetry-off builds.
+ * counters whether or not a sink is attached.
  *
- * The supervisor is deterministic (no RNG) and keyed by task name.
+ * The tuning is fixed: kRetryBudget and kMaxMargin below, the other
+ * constants in supervisor.cpp. The supervisor is deterministic (no
+ * RNG) and keyed by task name.
  * State persists across calls — reset() between unrelated runs.
  */
 
@@ -81,33 +83,10 @@ enum class TaskHealth {
     Demoted,    ///< Shed from the schedule until the next recovery probe.
 };
 
-/** Tuning for the supervisor's three mechanisms. */
-struct SupervisorOptions
-{
-    /** EWMA smoothing for the per-task margin-deficit estimate. */
-    double ewma_alpha = 0.3;
-    /** Alarm when the deficit EWMA rises above -drift_threshold. */
-    Volts drift_threshold{10e-3};
-    /** While adapting, keep the margin at deficit EWMA + this slack. */
-    Volts drift_slack{15e-3};
-    /** First post-brown-out margin bump (then times backoff_factor^n). */
-    Volts margin_step{20e-3};
-    double backoff_factor = 2.0;
-    /** Margins never inflate beyond this. */
-    Volts max_margin{0.5};
-    /** Consecutive brown-outs tolerated before demotion. */
-    unsigned retry_budget = 3;
-    /** First demotion's probe delay (then times probe_backoff^n). */
-    Seconds probe_interval{20.0};
-    double probe_backoff = 2.0;
-    Seconds max_probe_interval{300.0};
-    /** Healthy, alarm-free completions relax the margin by this factor. */
-    double margin_decay = 0.98;
-    /** MarginUpdate trace events fire only for moves >= this quantum. */
-    Volts margin_quantum{2e-3};
-    /** Requirements must stay below ceiling - this to count reachable. */
-    Volts ceiling_slack{10e-3};
-};
+/** Consecutive brown-outs of a task tolerated before demotion. */
+inline constexpr unsigned kRetryBudget = 3;
+/** Adaptive margins never inflate beyond this. */
+inline constexpr Volts kMaxMargin{0.5};
 
 /** Decision counters, mirrored into telemetry when a sink is attached. */
 struct SupervisorStats
@@ -127,10 +106,6 @@ struct SupervisorStats
 class Supervisor
 {
   public:
-    explicit Supervisor(SupervisorOptions options = {});
-
-    const SupervisorOptions &options() const { return options_; }
-
     /**
      * Ask to dispatch @p name whose policy requirement is @p base_need
      * on a device whose recharge ceiling is @p ceiling (Vhigh). A
@@ -207,7 +182,6 @@ class Supervisor
     void emit(telemetry::EventKind kind, Seconds now, double voltage_v,
               std::uint32_t name_id, double value, bool flag = false);
 
-    SupervisorOptions options_;
     SupervisorStats stats_;
     std::map<std::string, TaskState> tasks_;
 

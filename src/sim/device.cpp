@@ -174,7 +174,7 @@ Device::waitLoop(std::optional<Volts> level, Seconds deadline,
         level.has_value() ? "voltage threshold" : "monitor re-arm level";
 
     // Euler-backend stall detection state: re-anchored on any resting-
-    // voltage movement beyond stall_epsilon (progress in either
+    // voltage movement beyond kStallEpsilon (progress in either
     // direction — a discharge toward brown-out still evolves toward a
     // regime change).
     Volts anchor_v = system_.restingVoltage();
@@ -218,17 +218,17 @@ Device::waitLoop(std::optional<Volts> level, Seconds deadline,
         } else {
             const Volts resting = system_.restingVoltage();
             if (std::abs(resting.value() - anchor_v.value()) >
-                options_.stall_epsilon.value()) {
+                kStallEpsilon.value()) {
                 anchor_v = resting;
                 anchor_t = system_.now();
-            } else if (system_.now() - anchor_t >= options_.stall_window) {
+            } else if (system_.now() - anchor_t >= kStallWindow) {
                 result.status = WaitStatus::Unreachable;
                 char buf[160];
                 std::snprintf(buf, sizeof(buf),
                               "%s %.4f V is unreachable: resting voltage "
                               "stalled at %.4f V for %.1f s",
                               what, target.value(), resting.value(),
-                              options_.stall_window.value());
+                              kStallWindow.value());
                 result.diagnostic = buf;
                 break;
             }

@@ -55,6 +55,15 @@ inline constexpr Seconds kSettleTimeout{0.4};
 inline constexpr Volts kSettleEpsilon{0.2e-3};
 inline constexpr Seconds kSettleWindow{20e-3};
 
+/**
+ * On the Euler backend (where no closed-form reachability test exists),
+ * an idle wait whose resting voltage moves less than kStallEpsilon for
+ * kStallWindow declares the threshold unreachable. Wide enough to ride
+ * out injected sub-second harvest dropouts.
+ */
+inline constexpr Seconds kStallWindow{5.0};
+inline constexpr Volts kStallEpsilon{0.1e-3};
+
 /** Configuration of the device-execution layer (not the electrical). */
 struct DeviceOptions
 {
@@ -67,15 +76,6 @@ struct DeviceOptions
      * loads through the analytic segment stepping when eligible.
      */
     bool allow_fast_path = true;
-    /**
-     * On the Euler backend (where no closed-form reachability test
-     * exists), an idle wait whose resting voltage moves less than
-     * stall_epsilon for stall_window declares the threshold
-     * unreachable. Wide enough to ride out injected sub-second harvest
-     * dropouts.
-     */
-    Seconds stall_window{5.0};
-    Volts stall_epsilon{0.1e-3};
 };
 
 /** Why an idle/recharge wait returned. */

@@ -445,77 +445,6 @@ PowerSystem::runSegmentAnalytic(Seconds duration, Amps i_load,
     return result;
 }
 
-void
-PowerSystem::recharge(Seconds dt, Seconds deadline)
-{
-    if (!analyticEligible()) {
-        while (now_ < deadline &&
-               cap_.openCircuitVoltage() < config_.monitor.vhigh) {
-            step(dt, Amps(0.0));
-        }
-        return;
-    }
-
-    // Fast path: charge in analytic chunks, each bounded by the time to
-    // reach vhigh at the *current* charge rate. The rate only falls as
-    // the buffer fills (chargeCurrent ∝ 1/voc), so a chunk never
-    // overshoots; the final approach within one dt of full is walked
-    // with reference steps to keep the Euler loop's overshoot-by-one-dt
-    // exit semantics.
-    SegmentOptions seg_opts;
-    seg_opts.fallback_dt = dt;
-    seg_opts.stop_on_failure = false;
-    const double vhigh = config_.monitor.vhigh.value();
-    while (now_ < deadline && cap_.openCircuitVoltage().value() < vhigh) {
-        // Harvest and piece of the current constancy interval: the
-        // chunk estimate below assumes a constant charge rate, so a
-        // chunk may not outlive the piece it was computed in.
-        const Watts harvest = Watts(harvestNow());
-        const double piece_left = harvester_ != nullptr
-            ? piece_.end - now_.value()
-            : std::numeric_limits<double>::infinity();
-        Amps i_out{0.0};
-        if (monitor_.enabled()) {
-            const BoosterDraw draw = output_.computeDraw(cap_, Amps(0.0));
-            if (draw.collapsed) {
-                step(dt, Amps(0.0));
-                continue;
-            }
-            i_out = draw.input_current;
-        }
-        const Amps i_charge =
-            input_.chargeCurrent(harvest, cap_.openCircuitVoltage());
-        double net = i_out.value() - i_charge.value();
-        if (cap_.openCircuitVoltage().value() > 0.0)
-            net += cap_.config().leakage.value();
-        if (net >= 0.0) {
-            if (!std::isfinite(piece_left)) {
-                // Constant harvest and not charging: vhigh is
-                // unreachable, so just run out the clock in one segment.
-                runSegment(deadline - now_, Amps(0.0), seg_opts);
-                return;
-            }
-            // This piece cannot charge, but a later one may (night
-            // before morning): sit out the rest of the piece only.
-            const double sit = std::min(deadline.value() - now_.value(),
-                                        std::max(piece_left, dt.value()));
-            runSegment(Seconds(sit), Amps(0.0), seg_opts);
-            continue;
-        }
-        const double t_full =
-            (vhigh - cap_.openCircuitVoltage().value()) *
-            cap_.capacitance().value() / (-net);
-        if (t_full <= dt.value()) {
-            step(dt, Amps(0.0));
-            continue;
-        }
-        double chunk = std::min(deadline.value() - now_.value(), t_full);
-        if (piece_left < chunk)
-            chunk = std::max(piece_left, dt.value());
-        runSegment(Seconds(chunk), Amps(0.0), seg_opts);
-    }
-}
-
 Amps
 PowerSystem::idleNetCurrentAt(Volts voc, bool with_output_draw) const
 {

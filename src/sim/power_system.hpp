@@ -212,15 +212,12 @@ class PowerSystem
      * True when no fault hooks, observer, or trace capture are
      * attached and the harvest (if any) is declared piecewise
      * constant (Harvester::piecewiseConstant) — the conditions under
-     * which runSegment()/recharge() may use the closed-form fast path
+     * which runSegment() may use the closed-form fast path
      * without skipping instrumentation. Macro steps never span a
      * harvest-piece boundary (Harvester::constantUntil), so each
      * analytic step still sees a strictly constant harvest.
      */
     bool analyticEligible() const;
-
-    /** Run with zero load until @p deadline or the buffer reaches vhigh. */
-    void recharge(Seconds dt, Seconds deadline);
 
     /**
      * Net buffer current (positive = discharging) the system would see

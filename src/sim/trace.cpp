@@ -35,49 +35,6 @@ VoltageTrace::back() const
 }
 
 Volts
-VoltageTrace::minTerminal() const
-{
-    log::fatalIf(samples_.empty(), "minTerminal() on empty trace");
-    auto it = std::min_element(samples_.begin(), samples_.end(),
-                               [](const TraceSample &a, const TraceSample &b) {
-                                   return a.terminal < b.terminal;
-                               });
-    return it->terminal;
-}
-
-Volts
-VoltageTrace::minTerminalBetween(Seconds t0, Seconds t1) const
-{
-    log::fatalIf(samples_.empty(), "minTerminalBetween() on empty trace");
-    Volts best{1e9};
-    bool found = false;
-    for (const auto &s : samples_) {
-        if (s.time >= t0 && s.time <= t1 && s.terminal < best) {
-            best = s.terminal;
-            found = true;
-        }
-    }
-    log::fatalIf(!found, "no samples in requested window");
-    return best;
-}
-
-Volts
-VoltageTrace::maxTerminalBetween(Seconds t0, Seconds t1) const
-{
-    log::fatalIf(samples_.empty(), "maxTerminalBetween() on empty trace");
-    Volts best{-1e9};
-    bool found = false;
-    for (const auto &s : samples_) {
-        if (s.time >= t0 && s.time <= t1 && s.terminal > best) {
-            best = s.terminal;
-            found = true;
-        }
-    }
-    log::fatalIf(!found, "no samples in requested window");
-    return best;
-}
-
-Volts
 VoltageTrace::terminalAt(Seconds t) const
 {
     log::fatalIf(samples_.empty(), "terminalAt() on empty trace");

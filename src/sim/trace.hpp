@@ -29,7 +29,7 @@ struct TraceSample
     bool delivering = false; ///< Output booster enabled and not collapsed.
 };
 
-/** Append-only voltage/current trace with range queries. */
+/** Append-only voltage/current trace with interpolated lookup. */
 class VoltageTrace
 {
   public:
@@ -42,15 +42,6 @@ class VoltageTrace
     const TraceSample &front() const;
     const TraceSample &back() const;
     const std::vector<TraceSample> &samples() const { return samples_; }
-
-    /** Minimum terminal voltage over the whole trace. */
-    Volts minTerminal() const;
-
-    /** Minimum terminal voltage for samples with time in [t0, t1]. */
-    Volts minTerminalBetween(Seconds t0, Seconds t1) const;
-
-    /** Maximum terminal voltage for samples with time in [t0, t1]. */
-    Volts maxTerminalBetween(Seconds t0, Seconds t1) const;
 
     /** Linear interpolation of terminal voltage at time @p t. */
     Volts terminalAt(Seconds t) const;

@@ -68,6 +68,12 @@ inline constexpr std::size_t kMaxNumberChars = 32;
  */
 char *formatNumber(char *out, double v);
 
+/**
+ * @p s as the body of a JSON string literal: quote and backslash get a
+ * backslash, other control characters become \u00XX.
+ */
+std::string escapeJson(const std::string &s);
+
 /** One trace point. Plain data; 32 bytes. */
 struct TraceEvent {
     double time_s = 0.0;       ///< Simulation time.

@@ -112,7 +112,6 @@ TEST(IntermittentRuntime, DetectsNonterminatingTask)
     sim::Device device = chargedDevice(&harvester);
 
     RuntimeOptions options;
-    options.max_attempts_from_full = 3;
     const std::vector<AtomicTask> program = {
         {1, "hog", load::uniform(120.0_mA, 200.0_ms).renamed("hog")}};
     const ProgramResult result = runProgram(device, program, options);
@@ -120,7 +119,7 @@ TEST(IntermittentRuntime, DetectsNonterminatingTask)
     EXPECT_FALSE(result.finished);
     EXPECT_TRUE(result.nonterminating);
     EXPECT_EQ(result.stuck_task, "hog");
-    EXPECT_GE(result.per_task[0].failures, 3u);
+    EXPECT_GE(result.per_task[0].failures, runtime::kMaxAttemptsFromFull);
 }
 
 TEST(IntermittentRuntime, TimeoutReportsPowerFailures)
@@ -275,7 +274,7 @@ TEST(IntermittentRuntime, SupervisedShedsHopelessTaskAndMovesOn)
     EXPECT_EQ(result.per_task[0].completions, 0u);
     // Bounded retry: budget (3) + the demoting attempt.
     EXPECT_LE(result.per_task[0].failures,
-              supervisor.options().retry_budget + 1);
+              sched::kRetryBudget + 1);
     EXPECT_FALSE(result.per_task[1].skipped);
     EXPECT_EQ(result.per_task[1].completions, 1u);
     EXPECT_EQ(supervisor.stateOf("hog"), sched::TaskHealth::Demoted);

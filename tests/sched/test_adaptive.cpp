@@ -18,13 +18,13 @@ using sched::ChargeRateMonitor;
 
 TEST(ChargeRateMonitor, TriggersWithoutBaseline)
 {
-    const ChargeRateMonitor monitor(0.25);
+    const ChargeRateMonitor monitor;
     EXPECT_TRUE(monitor.observe(Watts(1e-3)));
 }
 
 TEST(ChargeRateMonitor, SmallDriftDoesNotTrigger)
 {
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     monitor.baseline(Watts(2e-3));
     EXPECT_FALSE(monitor.observe(Watts(2.2e-3)));
     EXPECT_FALSE(monitor.observe(Watts(1.8e-3)));
@@ -32,15 +32,26 @@ TEST(ChargeRateMonitor, SmallDriftDoesNotTrigger)
 
 TEST(ChargeRateMonitor, LargeDriftTriggersBothDirections)
 {
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     monitor.baseline(Watts(2e-3));
     EXPECT_TRUE(monitor.observe(Watts(2.6e-3)));
     EXPECT_TRUE(monitor.observe(Watts(1.4e-3)));
 }
 
+TEST(ChargeRateMonitor, TriggersJustPastTheThreshold)
+{
+    ChargeRateMonitor monitor;
+    monitor.baseline(Watts(2e-3));
+    const double k = sched::kReprofileThreshold;
+    EXPECT_FALSE(monitor.observe(Watts(2e-3 * (1.0 + 0.99 * k))));
+    EXPECT_FALSE(monitor.observe(Watts(2e-3 * (1.0 - 0.99 * k))));
+    EXPECT_TRUE(monitor.observe(Watts(2e-3 * (1.0 + 1.01 * k))));
+    EXPECT_TRUE(monitor.observe(Watts(2e-3 * (1.0 - 1.01 * k))));
+}
+
 TEST(ChargeRateMonitor, RebaselineResets)
 {
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     monitor.baseline(Watts(2e-3));
     ASSERT_TRUE(monitor.observe(Watts(4e-3)));
     monitor.baseline(Watts(4e-3));
@@ -49,7 +60,7 @@ TEST(ChargeRateMonitor, RebaselineResets)
 
 TEST(ChargeRateMonitor, ZeroBaselineEdge)
 {
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     monitor.baseline(Watts(0.0));
     EXPECT_FALSE(monitor.observe(Watts(0.0)));
     EXPECT_TRUE(monitor.observe(Watts(1e-3)));
@@ -57,8 +68,7 @@ TEST(ChargeRateMonitor, ZeroBaselineEdge)
 
 TEST(ChargeRateMonitor, Validation)
 {
-    EXPECT_THROW(ChargeRateMonitor{0.0}, log::FatalError);
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     EXPECT_THROW(monitor.baseline(Watts(-1.0)), log::FatalError);
 }
 
@@ -85,7 +95,7 @@ TEST(AdaptiveReprofiling, HarvestLevelChangesProfiledVsafe)
     EXPECT_LT(strong, weak);
 
     // The monitor flags the change so the scheduler re-profiles.
-    ChargeRateMonitor monitor(0.25);
+    ChargeRateMonitor monitor;
     monitor.baseline(Watts(1e-3));
     EXPECT_TRUE(monitor.observe(Watts(20e-3)));
 }

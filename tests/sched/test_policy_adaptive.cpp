@@ -67,7 +67,7 @@ class EabTest : public ::testing::Test
 
 TEST_F(EabTest, StartsOnFullArrayAndReproducesAppBuffer)
 {
-    const unsigned n = policy_.options().total_banks;
+    const unsigned n = EnergyAdaptiveBufferPolicy::kTotalBanks;
     EXPECT_EQ(policy_.activeBanks(), n);
     EXPECT_EQ(policy_.targetBanks(), n);
     EXPECT_GE(policy_.feasibilityFloor(), 1u);
@@ -89,9 +89,9 @@ TEST_F(EabTest, StartsOnFullArrayAndReproducesAppBuffer)
 
 TEST_F(EabTest, ScarceHarvestShrinksTowardFeasibilityFloor)
 {
-    const unsigned n = policy_.options().total_banks;
+    const unsigned n = EnergyAdaptiveBufferPolicy::kTotalBanks;
     ASSERT_GT(policy_.feasibilityFloor(), 0u);
-    // Well below shrink_ratio x profiled harvest.
+    // Well below the 0.8 x profiled harvest shrink ratio.
     const Watts scarce(app_.harvest.value() * 0.3);
     observeHarvest(scarce, 20);
     EXPECT_LT(policy_.targetBanks(), n);
@@ -103,10 +103,10 @@ TEST_F(EabTest, ScarceHarvestShrinksTowardFeasibilityFloor)
 
 TEST_F(EabTest, RichHarvestGrowsBackToFullArray)
 {
-    const unsigned n = policy_.options().total_banks;
+    const unsigned n = EnergyAdaptiveBufferPolicy::kTotalBanks;
     observeHarvest(Watts(app_.harvest.value() * 0.3), 50);
     ASSERT_EQ(policy_.targetBanks(), policy_.feasibilityFloor());
-    // Well above grow_ratio x profiled harvest.
+    // Well above the 1.25 x profiled harvest grow ratio.
     observeHarvest(Watts(app_.harvest.value() * 2.0), 50);
     EXPECT_EQ(policy_.targetBanks(), n);
 }
@@ -115,7 +115,7 @@ TEST_F(EabTest, BrownoutGrowsRegardlessOfHarvestTrend)
 {
     observeHarvest(Watts(app_.harvest.value() * 0.3), 50);
     const unsigned shrunk = policy_.targetBanks();
-    ASSERT_LT(shrunk, policy_.options().total_banks);
+    ASSERT_LT(shrunk, EnergyAdaptiveBufferPolicy::kTotalBanks);
 
     TaskOutcome failure =
         completedAt(app_.events[0].chain[0],
@@ -154,7 +154,7 @@ TEST_F(EabTest, ThresholdsComeFromPerConfigurationCulpeo)
 {
     // Fewer banks => higher ESR => the ESR-aware chain threshold on one
     // bank is at least the full-array one.
-    const unsigned n = policy_.options().total_banks;
+    const unsigned n = EnergyAdaptiveBufferPolicy::kTotalBanks;
     if (n < 2)
         GTEST_SKIP() << "needs a multi-bank split";
     observeHarvest(Watts(app_.harvest.value() * 0.3), 50);
@@ -186,17 +186,8 @@ TEST_F(EabTest, EndToEndTrialRunsWithoutBrownouts)
     EXPECT_GT(result.eventStats("imu").captureRate(), 0.9);
 }
 
-TEST(EabOptions, InvalidOptionsAreFatal)
+TEST(EabStandalone, UninitializedAccessIsFatal)
 {
-    sched::EnergyAdaptiveBufferOptions zero;
-    zero.total_banks = 0;
-    EXPECT_THROW(EnergyAdaptiveBufferPolicy{zero}, log::FatalError);
-
-    sched::EnergyAdaptiveBufferOptions ratios;
-    ratios.grow_ratio = 0.9;
-    ratios.shrink_ratio = 1.1;
-    EXPECT_THROW(EnergyAdaptiveBufferPolicy{ratios}, log::FatalError);
-
     EnergyAdaptiveBufferPolicy uninitialized;
     EXPECT_THROW(uninitialized.activeBanks(), log::FatalError);
 }
@@ -247,9 +238,9 @@ TEST_F(AdaptiveTest, CompletionsConvergeOntoObservedDrop)
     // larger drop (~1/V), so the need solves V - drop*2.5/V =
     // voff + margin and sits strictly above the naive sum.
     const double naive = voff_.value() + drop +
-                         policy_.options().safety_margin.value();
+                         AdaptiveWorkloadPolicy::kSafetyMargin.value();
     const double floor_v =
-        voff_.value() + policy_.options().safety_margin.value();
+        voff_.value() + AdaptiveWorkloadPolicy::kSafetyMargin.value();
     const double expected =
         0.5 * (floor_v +
                std::sqrt(floor_v * floor_v + 4.0 * drop * 2.5));
@@ -272,7 +263,7 @@ TEST_F(AdaptiveTest, BrownoutBumpsAndNeverLowersEstimate)
     EXPECT_GT(after, before);
     // At least the full started_at-to-Voff budget plus the bump.
     EXPECT_GE(after, (2.1 - 1.6) +
-                         policy_.options().brownout_bump.value() - 1e-9);
+                         AdaptiveWorkloadPolicy::kBrownoutBump.value() - 1e-9);
 }
 
 TEST_F(AdaptiveTest, HarvestDriftResetsEstimates)
@@ -342,16 +333,8 @@ TEST_F(AdaptiveTest, DescribeCarriesEstimatorState)
     }
 }
 
-TEST(AdaptiveOptions, InvalidOptionsAreFatal)
+TEST(AdaptiveStandalone, UninitializedAccessIsFatal)
 {
-    sched::AdaptiveWorkloadOptions alpha;
-    alpha.ewma_alpha = 0.0;
-    EXPECT_THROW(AdaptiveWorkloadPolicy{alpha}, log::FatalError);
-
-    sched::AdaptiveWorkloadOptions margin;
-    margin.safety_margin = Volts(-0.01);
-    EXPECT_THROW(AdaptiveWorkloadPolicy{margin}, log::FatalError);
-
     AdaptiveWorkloadPolicy uninitialized;
     sched::AppSpec app = apps::periodicSensing();
     EXPECT_THROW(uninitialized.admitTask(app.events[0].chain[0]),

@@ -99,22 +99,23 @@ TEST(DeviceWait, ThresholdAboveVhighIsUnreachable)
 
 TEST(DeviceWait, EulerBackendDetectsUnreachableByStall)
 {
+    // 130 uW of harvest balances the enabled output's draw at about
+    // 1.9 V, so the resting voltage sits still there: well under
+    // kStallEpsilon of movement per kStallWindow.
     DeviceOptions options;
     options.allow_fast_path = false;
-    options.stall_window = Seconds(0.5);
-    // Wide enough that the harvester-less buffer's slow leakage decay
-    // (well under a millivolt per window) reads as no progress instead
-    // of re-anchoring the stall detector until brown-out.
-    options.stall_epsilon = Volts(5e-3);
-    Device device = chargedDevice(nullptr, Volts(1.9), options);
+    const sim::ConstantHarvester harvester(Watts(130e-6));
+    Device device = chargedDevice(&harvester, Volts(1.9), options);
     const WaitResult wait =
         device.idleUntilVoltage(Volts(2.1), Seconds(600.0));
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
     EXPECT_EQ(wait.diagnostic,
               "voltage threshold 2.1000 V is unreachable: resting voltage "
-              "stalled at 1.8991 V for 0.5 s");
+              "stalled at 1.9000 V for 5.0 s");
     // Detection costs one stall window, not the full timeout.
-    EXPECT_LT(device.now().value(), 1.0);
+    EXPECT_GE(device.now().value(), sim::kStallWindow.value());
+    EXPECT_LT(device.now().value(),
+              sim::kStallWindow.value() + 2.0 * sim::kIdleDt.value());
 }
 
 TEST(DeviceWait, BrownOutEndsTheWait)
@@ -173,10 +174,10 @@ TEST(DeviceWait, EulerRechargeUntilOnDetectsStall)
     // The re-arm counterpart of the stall test above: a browned-out
     // device with no harvester never re-arms, and the Euler backend
     // (no closed-form reachability test) proves it by the stall window.
+    // Only leakage moves the buffer, far less than kStallEpsilon per
+    // kStallWindow.
     DeviceOptions options;
     options.allow_fast_path = false;
-    options.stall_window = Seconds(0.5);
-    options.stall_epsilon = Volts(5e-3);
     Device device(sim::capybaraConfig(), options);
     device.setBufferVoltage(Volts(1.8));
     ASSERT_FALSE(device.on());
@@ -184,9 +185,12 @@ TEST(DeviceWait, EulerRechargeUntilOnDetectsStall)
     EXPECT_EQ(wait.status, WaitStatus::Unreachable);
     EXPECT_EQ(wait.diagnostic,
               "monitor re-arm level 2.5600 V is unreachable: resting voltage "
-              "stalled at 1.8000 V for 0.5 s");
+              "stalled at 1.8000 V for 5.0 s");
     EXPECT_FALSE(device.on());
-    EXPECT_LT(device.now().value(), 1.0);
+    // The stall is declared one window after the wait starts.
+    EXPECT_GE(device.now().value(), sim::kStallWindow.value());
+    EXPECT_LT(device.now().value(),
+              sim::kStallWindow.value() + 2.0 * sim::kIdleDt.value());
 }
 
 TEST(DeviceIdle, IdleForRoundsUpToTheTickGrid)

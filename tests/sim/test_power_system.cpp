@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/device.hpp"
 #include "sim/power_system.hpp"
 #include "util/logging.hpp"
 
@@ -104,13 +105,17 @@ TEST(PowerSystem, HarvesterRecharges)
 
 TEST(PowerSystem, RechargeStopsAtVhigh)
 {
-    PowerSystem system(capybaraConfig());
+    sim::Device device(capybaraConfig());
     ConstantHarvester harvester(Watts(50e-3));
-    system.setHarvester(&harvester);
-    system.setBufferVoltage(Volts(2.0));
-    system.recharge(Seconds(10e-3), Seconds(1e4));
-    EXPECT_NEAR(system.capacitor().openCircuitVoltage().value(), 2.56,
-                0.01);
+    device.setHarvester(&harvester);
+    device.setBufferVoltage(Volts(2.0));
+    ASSERT_TRUE(device.rechargeTo(device.vhigh()).reached());
+    // The terminal reads Vhigh before the bulk charge does; under
+    // continued harvest the input booster charges until the
+    // open-circuit voltage reaches Vhigh, and no further.
+    device.idleFor(Seconds(10.0));
+    EXPECT_NEAR(device.system().capacitor().openCircuitVoltage().value(),
+                2.56, 0.01);
 }
 
 TEST(PowerSystem, MonitorReenablesAfterFullRecharge)

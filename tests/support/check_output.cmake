@@ -1,4 +1,5 @@
-# Run an example and compare its stdout byte for byte with a golden.
+# Run an example or bench and compare its stdout byte for byte with a
+# golden.
 #
 #   cmake -DEXE=<binary> -DGOLDEN=<file> -P check_output.cmake
 #
