@@ -10,9 +10,9 @@
  * and memory-bounded for million-trial sweeps while still retaining the
  * tail that matters when a trial is dumped on failure.
  *
- * Exporters write JSONL (one event object per line — the
+ * The exporter writes JSONL (one event object per line — the
  * CULPEO_TRACE_OUT format consumed by the fig12 bench and the fuzz
- * harness) and CSV. Output is oldest-to-newest and formatted with fixed
+ * harness). Output is oldest-to-newest and formatted with fixed
  * precision, so identical event sequences serialize identically (golden
  * snapshot tests rely on this).
  */
@@ -130,9 +130,6 @@ class TraceLog
      * log's lock throughout and writes to @p out in bounded chunks.
      */
     void writeJsonl(std::ostream &out) const;
-
-    /** CSV with a header row, oldest first; locking as writeJsonl(). */
-    void writeCsv(std::ostream &out) const;
 
   private:
     /** Call @p fn on each retained event, oldest first. */

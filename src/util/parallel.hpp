@@ -1,8 +1,8 @@
 /**
  * @file
- * A small work-stealing thread pool for the evaluation stack's
- * embarrassingly parallel sweeps (ground-truth searches over scenario
- * sets, figure sweeps, fuzz campaigns).
+ * A small thread pool for the evaluation stack's embarrassingly
+ * parallel sweeps (ground-truth searches over scenario sets, figure
+ * sweeps, bake-off cells, fleet devices, fuzz campaigns).
  *
  * Design goals, in order:
  *  1. Determinism: parallelMap() writes each result into its item's
@@ -16,11 +16,12 @@
  *  3. No oversubscription: nested parallel regions execute inline on
  *     the calling worker.
  *
- * The pool divides [0, count) into one contiguous lane per
- * participant; each participant drains its own lane from the front and
- * then steals from the back of the fullest remaining lane. The caller
- * participates as lane 0, so a pool with no worker threads (or
- * CULPEO_THREADS=1) degrades to a plain serial loop.
+ * Every participant, the caller included, claims the next index of
+ * [0, count) from one shared atomic counter. The items are coarse
+ * (whole trials, devices, bisections), so one counter balances the
+ * load without per-thread queues. Nested regions, single-item jobs and
+ * a pool with no worker threads (CULPEO_THREADS=1) run the same claim
+ * loop on the caller alone, which makes them a plain serial loop.
  */
 
 #ifndef CULPEO_UTIL_PARALLEL_HPP
@@ -87,10 +88,7 @@ class ThreadPool
   private:
     struct Job;
 
-    void workerLoop(std::size_t worker_index);
-    void runJob(Job &job, std::size_t home_lane);
-    void runSerial(std::size_t count,
-                   const std::function<void(std::size_t)> &body);
+    void workerLoop();
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;

@@ -29,7 +29,11 @@ struct SweepCase
     double ma;
     double ms;
     bool with_tail;
+    // gtest names each case with a dump of its bytes; zeroed padding
+    // keeps those names the same from one build to the next.
+    char zero_padding[7] = {};
 };
+static_assert(sizeof(SweepCase) == 24, "SweepCase has no hidden padding");
 
 std::string
 caseName(const ::testing::TestParamInfo<SweepCase> &info)

@@ -15,6 +15,7 @@
 #include "sim/harvester.hpp"
 #include "sim/instrumentation.hpp"
 #include "sim/power_system.hpp"
+#include "support/counting_harvester.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -130,6 +131,39 @@ TEST(SegmentStepping, MatchesEulerWhileCharging)
     }
 }
 
+/**
+ * Piecewise-constant harvest: the fast path caps each macro step at a
+ * piece boundary and must track Euler across every boundary, on grids
+ * that are dyadic (1/64 s), finer than the reference step budget of
+ * short loads (3 ms) and coarse (0.1 s).
+ */
+TEST(SegmentStepping, MatchesEulerAcrossHarvestPieces)
+{
+    const auto cfg = sim::capybaraConfig();
+    sim::SegmentOptions probe;
+    for (const double period : {1.0 / 64.0, 3e-3, 0.1}) {
+        for (const double i_load : {0.0, 2e-3, 8e-3, 25e-3}) {
+            SCOPED_TRACE(testing::Message()
+                         << period * 1e3 << " ms pieces, "
+                         << i_load * 1e3 << " mA");
+            testsupport::CountingPieces euler_pieces(period);
+            testsupport::CountingPieces fast_pieces(period);
+            const SegmentCase c{2.1, i_load, 0.3};
+            const auto euler = runOnce(cfg, c, false, &euler_pieces);
+            const auto fast = runOnce(cfg, c, true, &fast_pieces);
+            // A brown-out stops both paths at the Voff crossing, which
+            // they resolve as in VoffCrossingTimesMatchEuler.
+            const double slope =
+                i_load / cfg.capacitor.capacitance.value();
+            const double time_tol =
+                euler.power_failed
+                    ? kVoltTol / slope + probe.fallback_dt.value()
+                    : kTimeTol;
+            expectEquivalent(euler, fast, kVoltTol, time_tol);
+        }
+    }
+}
+
 TEST(SegmentStepping, VoffCrossingTimesMatchEuler)
 {
     const auto cfg = sim::capybaraConfig();
@@ -198,18 +232,17 @@ TEST(SegmentStepping, ObserverDisablesFastPath)
     EXPECT_GT(observer.steps, 0u);
 }
 
-/** A trace-driven harvester has no constant power: Euler fallback. */
+/** A harvester that is not piecewise constant: Euler fallback. */
 TEST(SegmentStepping, NonConstantHarvesterDisablesFastPath)
 {
     sim::PowerSystem system(sim::capybaraConfig());
-    std::vector<sim::TraceHarvester::Point> points{
-        {Seconds(0.0), Watts(10e-3)},
-        {Seconds(1.0), Watts(0.0)},
-    };
-    sim::TraceHarvester harvester(points);
+    const testsupport::CountingPieces pieces(1.0 / 64.0);
+    const testsupport::Uncached harvester(pieces);
     system.setHarvester(&harvester);
     EXPECT_FALSE(system.analyticEligible());
 
+    system.setHarvester(&pieces);
+    EXPECT_TRUE(system.analyticEligible());
     sim::ConstantHarvester constant(Watts(10e-3));
     system.setHarvester(&constant);
     EXPECT_TRUE(system.analyticEligible());

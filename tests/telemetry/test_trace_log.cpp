@@ -121,17 +121,7 @@ TEST(TraceLog, JsonlFormatIsStable)
               "{\"t\":2,\"trial\":0,\"kind\":\"brown_out\",\"v\":0,"
               "\"value\":0,\"flag\":false}\n");
 
-    std::ostringstream csv;
-    log.writeCsv(csv);
-    EXPECT_EQ(csv.str().substr(0, csv.str().find('\n')),
-              "t,trial,kind,name,v,value,flag");
-    EXPECT_EQ(csv.str(), "t,trial,kind,name,v,value,flag\n"
-                         "1.5,0,task_start,imu,2.25,1,0\n"
-                         "1.625,2,task_end,imu,2,1.9375,1\n"
-                         "2,0,brown_out,,0,0,0\n");
-
-    // JSONL escapes a label's quotes and backslashes; CSV writes the
-    // label as it is.
+    // JSONL escapes a label's quotes and backslashes.
     TraceLog quoted(2);
     TraceEvent said =
         at(0.25, EventKind::TaskStart, quoted.intern("say \"hi\" \\ bye"));
@@ -143,11 +133,6 @@ TEST(TraceLog, JsonlFormatIsStable)
               "{\"t\":0.25,\"trial\":0,\"kind\":\"task_start\","
               "\"name\":\"say \\\"hi\\\" \\\\ bye\",\"v\":0,"
               "\"value\":0.100000001,\"flag\":false}\n");
-    std::ostringstream quoted_csv;
-    quoted.writeCsv(quoted_csv);
-    EXPECT_EQ(quoted_csv.str(), "t,trial,kind,name,v,value,flag\n"
-                                "0.25,0,task_start,say \"hi\" \\ bye,0,"
-                                "0.100000001,0\n");
 }
 
 TEST(TraceLog, ExportOfWrappedRingIsOldestFirst)
@@ -155,13 +140,17 @@ TEST(TraceLog, ExportOfWrappedRingIsOldestFirst)
     TraceLog log(4);
     for (int i = 0; i < 6; ++i)
         log.record(at(double(i), EventKind::BrownOut));
-    std::ostringstream csv;
-    log.writeCsv(csv);
-    EXPECT_EQ(csv.str(), "t,trial,kind,name,v,value,flag\n"
-                         "2,0,brown_out,,0,0,0\n"
-                         "3,0,brown_out,,0,0,0\n"
-                         "4,0,brown_out,,0,0,0\n"
-                         "5,0,brown_out,,0,0,0\n");
+    std::ostringstream out;
+    log.writeJsonl(out);
+    EXPECT_EQ(out.str(),
+              "{\"t\":2,\"trial\":0,\"kind\":\"brown_out\",\"v\":0,"
+              "\"value\":0,\"flag\":false}\n"
+              "{\"t\":3,\"trial\":0,\"kind\":\"brown_out\",\"v\":0,"
+              "\"value\":0,\"flag\":false}\n"
+              "{\"t\":4,\"trial\":0,\"kind\":\"brown_out\",\"v\":0,"
+              "\"value\":0,\"flag\":false}\n"
+              "{\"t\":5,\"trial\":0,\"kind\":\"brown_out\",\"v\":0,"
+              "\"value\":0,\"flag\":false}\n");
 }
 
 TEST(TraceLog, ExportLargerThanOneChunkIsComplete)
