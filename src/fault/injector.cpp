@@ -59,7 +59,7 @@ FaultPlan::summary() const
 }
 
 FaultPlan
-randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
+randomPlan(util::Rng &rng, Seconds horizon, double drift_probability)
 {
     log::fatalIf(horizon.value() <= 0.0,
                  "fault plan horizon must be positive");
@@ -67,11 +67,11 @@ randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
     const double h = horizon.value();
 
     const unsigned harvest_points =
-        unsigned(rng.uniformInt(knobs.max_harvest_points + 1));
+        unsigned(rng.uniformInt(kMaxHarvestPoints + 1));
     for (unsigned i = 0; i < harvest_points; ++i) {
         plan.harvest_trace.push_back(
             {Seconds(rng.uniform(0.0, h)),
-             rng.uniform(knobs.min_harvest_scale, 1.0)});
+             rng.uniform(kMinHarvestScale, 1.0)});
     }
     std::sort(plan.harvest_trace.begin(), plan.harvest_trace.end(),
               [](const HarvestPoint &a, const HarvestPoint &b) {
@@ -79,11 +79,11 @@ randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
               });
 
     const unsigned dropouts =
-        unsigned(rng.uniformInt(knobs.max_dropouts + 1));
+        unsigned(rng.uniformInt(kMaxDropouts + 1));
     for (unsigned i = 0; i < dropouts; ++i) {
         const double start = rng.uniform(0.0, h);
         const double length =
-            rng.uniform(0.0, knobs.max_dropout_length.value());
+            rng.uniform(0.0, kMaxDropoutLength.value());
         plan.dropouts.push_back({Seconds(start),
                                  Seconds(std::min(h, start + length)),
                                  rng.uniform() < 0.5 ? 0.0
@@ -91,22 +91,22 @@ randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
     }
 
     const unsigned spikes =
-        unsigned(rng.uniformInt(knobs.max_leakage_spikes + 1));
+        unsigned(rng.uniformInt(kMaxLeakageSpikes + 1));
     for (unsigned i = 0; i < spikes; ++i) {
         const double start = rng.uniform(0.0, h);
         const double length = rng.uniform(0.0, 0.2 * h);
         plan.leakage_spikes.push_back(
             {Seconds(start), Seconds(std::min(h, start + length)),
-             Amps(rng.uniform(0.0, knobs.max_leakage.value()))});
+             Amps(rng.uniform(0.0, kMaxLeakage.value()))});
     }
 
     const unsigned aging =
-        unsigned(rng.uniformInt(knobs.max_aging_steps + 1));
+        unsigned(rng.uniformInt(kMaxAgingSteps + 1));
     for (unsigned i = 0; i < aging; ++i) {
         plan.aging_steps.push_back(
             {Seconds(rng.uniform(0.0, h)),
-             rng.uniform(knobs.min_capacitance_fraction, 1.0),
-             rng.uniform(1.0, knobs.max_esr_multiplier)});
+             rng.uniform(kMinCapacitanceFraction, 1.0),
+             rng.uniform(1.0, kMaxEsrMultiplier)});
     }
     std::sort(plan.aging_steps.begin(), plan.aging_steps.end(),
               [](const AgingStep &a, const AgingStep &b) {
@@ -123,7 +123,7 @@ randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
     }
 
     const unsigned brownouts =
-        unsigned(rng.uniformInt(knobs.max_brownouts + 1));
+        unsigned(rng.uniformInt(kMaxBrownouts + 1));
     for (unsigned i = 0; i < brownouts; ++i)
         plan.brownouts.push_back({Seconds(rng.uniform(0.0, h))});
     std::sort(plan.brownouts.begin(), plan.brownouts.end(),
@@ -131,27 +131,26 @@ randomPlan(util::Rng &rng, Seconds horizon, const FaultKnobs &knobs)
                   return a.at < b.at;
               });
 
-    plan.adc.offset = Volts(rng.uniform(-knobs.max_adc_offset.value(),
-                                        knobs.max_adc_offset.value()));
+    plan.adc.offset = Volts(rng.uniform(-kMaxAdcOffset.value(),
+                                        kMaxAdcOffset.value()));
     plan.adc.noise_stddev =
-        Volts(rng.uniform(0.0, knobs.max_adc_noise.value()));
+        Volts(rng.uniform(0.0, kMaxAdcNoise.value()));
 
-    // Guarded on the knob BEFORE any draw so the default configuration
+    // Guarded on drift_probability BEFORE any draw so the default
     // consumes exactly the historical rng sequence (seed replays and
     // the seed-regression golden depend on it).
-    if (knobs.drift_probability > 0.0 &&
-        rng.uniform() < knobs.drift_probability) {
+    if (drift_probability > 0.0 && rng.uniform() < drift_probability) {
         DegradationModel drift;
         drift.shape = rng.uniform() < 0.5 ? DriftShape::Linear
                                           : DriftShape::Exponential;
         drift.onset = Seconds(rng.uniform(0.0, 0.5 * h));
         drift.ramp = Seconds(rng.uniform(0.1 * h, h));
         drift.capacitance_fraction_end =
-            rng.uniform(knobs.min_drift_capacitance_fraction, 1.0);
+            rng.uniform(kMinDriftCapacitanceFraction, 1.0);
         drift.esr_multiplier_end =
-            rng.uniform(1.0, knobs.max_drift_esr_multiplier);
+            rng.uniform(1.0, kMaxDriftEsrMultiplier);
         drift.leakage_growth =
-            Amps(rng.uniform(0.0, knobs.max_drift_leakage.value()));
+            Amps(rng.uniform(0.0, kMaxDriftLeakage.value()));
         plan.degradation = drift;
     }
     return plan;

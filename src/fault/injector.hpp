@@ -11,7 +11,7 @@
  * through the sim::FaultHooks seam, so any failing run is reproducible
  * from its seed alone.
  *
- * The default FaultKnobs keep every *continuous* disturbance within the
+ * The randomPlan() bounds keep every *continuous* disturbance within the
  * scheduler's dispatch guard band (ADC error well under the 20 mV
  * margin, leakage spikes under a millivolt of extra ESR drop), matching
  * how a real deployment reasons: bounded noise is absorbed by margins,
@@ -108,34 +108,32 @@ struct FaultPlan
 };
 
 /** Bounds for randomPlan(). See the file comment for the rationale. */
-struct FaultKnobs
-{
-    unsigned max_harvest_points = 4;
-    double min_harvest_scale = 0.2;
-    unsigned max_dropouts = 3;
-    Seconds max_dropout_length{0.5};
-    unsigned max_leakage_spikes = 2;
-    Amps max_leakage{200e-6};
-    unsigned max_aging_steps = 1;
-    double max_esr_multiplier = 1.5;
-    double min_capacitance_fraction = 0.85;
-    unsigned max_brownouts = 2;
-    Volts max_adc_offset{5e-3};
-    Volts max_adc_noise{2e-3};
-    /**
-     * Chance that the plan carries a continuous DegradationModel.
-     * Defaults to 0 so existing seeds replay bit-exactly: randomPlan()
-     * consumes NO extra rng draws unless this is raised above zero.
-     */
-    double drift_probability = 0.0;
-    double max_drift_esr_multiplier = 2.5;
-    double min_drift_capacitance_fraction = 0.75;
-    Amps max_drift_leakage{100e-6};
-};
+inline constexpr unsigned kMaxHarvestPoints = 4;
+inline constexpr double kMinHarvestScale = 0.2;
+inline constexpr unsigned kMaxDropouts = 3;
+inline constexpr Seconds kMaxDropoutLength{0.5};
+inline constexpr unsigned kMaxLeakageSpikes = 2;
+inline constexpr Amps kMaxLeakage{200e-6};
+inline constexpr unsigned kMaxAgingSteps = 1;
+inline constexpr double kMaxEsrMultiplier = 1.5;
+inline constexpr double kMinCapacitanceFraction = 0.85;
+inline constexpr unsigned kMaxBrownouts = 2;
+inline constexpr Volts kMaxAdcOffset{5e-3};
+inline constexpr Volts kMaxAdcNoise{2e-3};
+/** Bounds of the optional continuous DegradationModel. */
+inline constexpr double kMaxDriftEsrMultiplier = 2.5;
+inline constexpr double kMinDriftCapacitanceFraction = 0.75;
+inline constexpr Amps kMaxDriftLeakage{100e-6};
 
-/** Generate a random plan covering [0, horizon) from @p rng. */
+/**
+ * Generate a random plan covering [0, horizon) from @p rng. With
+ * probability @p drift_probability the plan also carries a continuous
+ * DegradationModel. The default 0 keeps existing seeds replaying
+ * bit-exactly: randomPlan() consumes NO extra rng draws unless it is
+ * raised above zero.
+ */
 FaultPlan randomPlan(util::Rng &rng, Seconds horizon,
-                     const FaultKnobs &knobs = {});
+                     double drift_probability = 0.0);
 
 /**
  * Replays a FaultPlan through the simulator's fault seam. One-shot

@@ -11,6 +11,8 @@
 
 #include "sched/engine.hpp"
 #include "sched/policy.hpp"
+#include "telemetry/trace_log.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
@@ -175,9 +177,10 @@ BakeoffResult::writeCsv(std::ostream &out) const
            "capture_rate,power_failures_per_trial,mean_latency_s,"
            "completion_rate,captures_per_joule\n";
     for (const BakeoffCell &c : cells) {
-        out << c.rank << ',' << c.policy << ',' << c.buffer << ','
-            << c.load << ',' << c.environment << ',' << c.arrived << ','
-            << c.captured << ',' << num(c.capture_rate) << ','
+        out << c.rank << ',' << util::csvEscape(c.policy) << ','
+            << util::csvEscape(c.buffer) << ',' << util::csvEscape(c.load)
+            << ',' << util::csvEscape(c.environment) << ',' << c.arrived
+            << ',' << c.captured << ',' << num(c.capture_rate) << ','
             << num(c.power_failures_per_trial) << ','
             << num(c.mean_latency_s) << ',' << num(c.completion_rate)
             << ',' << num(c.captures_per_joule) << '\n';
@@ -190,9 +193,11 @@ BakeoffResult::writeJsonl(std::ostream &out) const
     out << "{\"type\":\"bakeoff\",\"cells\":" << cells.size() << "}\n";
     for (const BakeoffCell &c : cells) {
         out << "{\"type\":\"cell\",\"rank\":" << c.rank
-            << ",\"policy\":\"" << c.policy << "\",\"buffer\":\""
-            << c.buffer << "\",\"load\":\"" << c.load
-            << "\",\"environment\":\"" << c.environment
+            << ",\"policy\":\"" << telemetry::escapeJson(c.policy)
+            << "\",\"buffer\":\"" << telemetry::escapeJson(c.buffer)
+            << "\",\"load\":\"" << telemetry::escapeJson(c.load)
+            << "\",\"environment\":\""
+            << telemetry::escapeJson(c.environment)
             << "\",\"arrived\":" << c.arrived
             << ",\"captured\":" << c.captured
             << ",\"capture_rate\":" << num(c.capture_rate)

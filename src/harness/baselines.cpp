@@ -22,11 +22,15 @@ estimateBaselines(const sim::PowerSystemConfig &config,
     const units::Joules energy_before =
         device.system().capacitor().storedEnergy();
 
-    RunOptions options;
-    options.dt = chooseDt(profile);
+    sim::LoadOptions options;
+    options.dt = sim::chooseDt(profile);
     options.stop_on_failure = false; // Profiling rig is continuously fed.
-    const RunResult run = runTask(device, profile, options);
+    const sim::LoadResult run = device.runLoad(profile, options);
     estimates.run = run;
+    const units::Seconds task_end = device.now();
+    // Let the ESR drop rebound with no load so Vfinal reflects the
+    // post-redistribution voltage (Figure 8a).
+    estimates.vfinal = device.settle();
 
     const double voff = config.monitor.voff.value();
     const double vstart = run.vstart.value();
@@ -42,7 +46,7 @@ estimateBaselines(const sim::PowerSystemConfig &config,
         Volts(std::sqrt(voff * voff + 2.0 * energy / c));
 
     // Energy-V: end-to-end voltage-as-energy with settled endpoints.
-    const double vfinal = run.vfinal.value();
+    const double vfinal = estimates.vfinal.value();
     estimates.energy_v = Volts(
         std::sqrt(std::max(voff * voff,
                            voff * voff + vstart * vstart - vfinal * vfinal)));
@@ -50,13 +54,13 @@ estimateBaselines(const sim::PowerSystemConfig &config,
     // CatNap-Measured: additive voltage budget, endpoint sampled at the
     // final loaded instant (no rebound has occurred yet).
     estimates.catnap_measured =
-        Volts(voff + std::max(0.0, vstart - run.vend_loaded.value()));
+        Volts(voff + std::max(0.0, vstart - run.vend.value()));
 
     // CatNap-Slow: endpoint sampled slow_delay after completion; the
     // instantaneous series-ESR rebound has already happened and part of
     // the redistribution recovery too, so the drop is under-counted.
     const Volts v_slow =
-        device.system().trace().terminalAt(run.task_end + slow_delay);
+        device.system().trace().terminalAt(task_end + slow_delay);
     estimates.catnap_slow =
         Volts(voff + std::max(0.0, vstart - v_slow.value()));
 

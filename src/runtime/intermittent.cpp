@@ -153,7 +153,7 @@ runProgram(sim::Device &device, const std::vector<AtomicTask> &program,
                                  task.profile, need, base_need,
                                  traced ? &handles : nullptr,
                                  /*audit=*/gated)
-                    .run.completed;
+                    .completed;
             if (completed) {
                 ++stats.completions;
                 break;

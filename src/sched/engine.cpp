@@ -124,24 +124,24 @@ struct Trial
     runCommitted(const SchedTask &task, Volts need, Volts base_need)
     {
         ++tasks_started;
-        const dispatch::Commit commit = dispatch::commit(
+        const sim::LoadResult run = dispatch::commit(
             device, sup, task.name, task.profile, need, base_need,
             tel != nullptr ? &taskTel(task) : nullptr, /*audit=*/true);
         TaskOutcome outcome;
         outcome.task = &task;
-        outcome.completed = commit.run.completed;
-        outcome.started_at = commit.resting;
+        outcome.completed = run.completed;
+        outcome.started_at = run.vstart;
         outcome.need = need;
         outcome.base_need = base_need;
-        outcome.vmin = commit.run.vmin;
-        outcome.vend = commit.run.vend_loaded;
+        outcome.vmin = run.vmin;
+        outcome.vend = run.vend;
         outcome.voff = device.voff();
         outcome.harvest = device.harvestNow();
         outcome.now = device.now();
         policy.observe(outcome);
-        if (commit.run.completed)
+        if (run.completed)
             ++tasks_completed;
-        return commit.run.completed;
+        return run.completed;
     }
 
     /**

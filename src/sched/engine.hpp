@@ -101,9 +101,10 @@ struct TrialConfig
     /**
      * Force the per-tick Euler wait backend even when no instruments
      * are attached — the reference baseline for the device fast path
-     * in equivalence tests and benchmarks. Task loads still use the
-     * analytic segment stepping when eligible, exactly as the
-     * pre-device per-tick engine did via harness::runTask.
+     * in equivalence tests and benchmarks. It selects the wait backend
+     * only (sim::DeviceOptions::allow_fast_path): task loads still run
+     * through sim::Device::runLoad with the analytic segment stepping
+     * when eligible, exactly as the pre-device per-tick engine did.
      */
     bool force_euler = false;
     /**

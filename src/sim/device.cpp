@@ -327,6 +327,17 @@ Device::idleUntil(Seconds t)
         idleFor(t - system_.now());
 }
 
+Seconds
+chooseDt(const load::CurrentProfile &profile)
+{
+    // Resolve the shortest segment with at least 20 steps, but never
+    // step coarser than 100 us or finer than 5 us.
+    double shortest = 0.1;
+    for (const auto &seg : profile.segments())
+        shortest = std::min(shortest, seg.duration.value());
+    return Seconds(std::clamp(shortest / 20.0, 5e-6, 100e-6));
+}
+
 LoadResult
 Device::runLoad(const load::CurrentProfile &profile,
                 const LoadOptions &options)

@@ -127,6 +127,9 @@ struct LoadOptions
     LoadStepDriver *driver = nullptr;
 };
 
+/** Pick a load simulation step that resolves @p profile's features. */
+Seconds chooseDt(const load::CurrentProfile &profile);
+
 /** Outcome of one Device::runLoad call. */
 struct LoadResult
 {

@@ -348,12 +348,10 @@ runDriftScenario(std::uint64_t seed)
 
     // Replace the scenario's disturbance plan with pure drift, drawn
     // from the same seed stream family the differential harness uses.
-    fault::FaultKnobs knobs;
-    knobs.drift_probability = 1.0;
     util::Rng plan_rng(seed ^ 0x9e3779b9);
     fault::FaultPlan plan;
     plan.degradation =
-        fault::randomPlan(plan_rng, scenario.duration, knobs).degradation;
+        fault::randomPlan(plan_rng, scenario.duration, 1.0).degradation;
 
     // Pristine profile — the drift is exactly what the profile does
     // not know about, and what the supervisor exists to absorb.

@@ -96,7 +96,7 @@ TEST(Baselines, ProfilingRunRecordsShape)
         sim::capybaraConfig(), load::uniform(25.0_mA, 10.0_ms));
     EXPECT_TRUE(est.run.completed);
     EXPECT_LT(est.run.vmin.value(), est.run.vstart.value());
-    EXPECT_GT(est.run.vfinal.value(), est.run.vend_loaded.value());
+    EXPECT_GT(est.vfinal.value(), est.run.vend.value());
 }
 
 } // namespace

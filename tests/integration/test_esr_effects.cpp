@@ -30,10 +30,7 @@ TEST(EsrEffects, LoRaClassLoadKillsDeviceWithAmpleEnergy)
     const Joules usable_before =
         before - units::capacitorEnergy(Farads(45e-3), Volts(1.6));
 
-    harness::RunOptions options;
-    options.settle_rebound = false;
-    const auto result =
-        harness::runTask(device, load::uniform(50.0_mA, 100.0_ms), options);
+    const auto result = device.runLoad(load::uniform(50.0_mA, 100.0_ms));
 
     EXPECT_FALSE(result.completed);
     const Joules after = device.system().capacitor().storedEnergy();
@@ -62,7 +59,7 @@ TEST(EsrEffects, EsrDropDominatesEnergyDropOnRealTrace)
     const auto est = harness::estimateBaselines(
         sim::capybaraConfig(), load::uniform(50.0_mA, 100.0_ms));
     const double energy_drop = est.run.vstart.value() -
-                               est.run.vfinal.value();
+                               est.vfinal.value();
     const double total_drop = est.run.vstart.value() -
                               est.run.vmin.value();
     const double esr_drop = total_drop - energy_drop;

@@ -33,9 +33,9 @@ constexpr double kVoltTol = 5e-3;
 
 /**
  * Time agreement bound: the Euler reference loop deliberately overruns
- * the requested duration by up to one step (matching the original
- * runTask loop), while the analytic path lands exactly; brown-out
- * stops resolve inside a reference step on both paths.
+ * the requested duration by up to one step (matching the per-step
+ * sim::Device::runLoad loop), while the analytic path lands exactly;
+ * brown-out stops resolve inside a reference step on both paths.
  */
 constexpr double kTimeTol = 50e-6 + 1e-12;
 
