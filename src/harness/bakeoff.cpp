@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -103,37 +104,45 @@ meanHarvestWatts(const sched::AppSpec &app, const sim::Harvester *view,
     return sum / double(kSamples);
 }
 
-BakeoffCell
-runCell(const BakeoffMatrix &matrix, const std::string &policy_name,
-        const BufferVariant &buffer, const LoadMix &load,
-        const HarvestScenario &env)
+/**
+ * One cell of the matrix: its coordinates, its app, and the policy
+ * instance it runs (or the error that stopped the instance's
+ * initialization). Every cell runs its own instance, fresh or cloned
+ * straight after initialization, so online policies never leak
+ * learned state between cells.
+ */
+struct CellRun
 {
-    const sched::AppSpec app = cellApp(load, buffer, env);
+    const std::string *policy = nullptr;
+    const BufferVariant *buffer = nullptr;
+    const LoadMix *load = nullptr;
+    const HarvestScenario *env = nullptr;
+    sched::AppSpec app;
+    std::unique_ptr<sched::Policy> instance;
+    std::exception_ptr error;
+};
 
-    // A fresh policy instance per cell: online policies must not leak
-    // learned state between cells of the matrix.
-    std::unique_ptr<sched::Policy> policy =
-        sched::makePolicy(policy_name);
-    policy->initialize(app);
-
+BakeoffCell
+runCell(const BakeoffMatrix &matrix, const CellRun &run)
+{
     std::optional<env::FieldHarvester> view;
     sched::TrialConfig config;
     config.duration = matrix.duration;
     config.trials = matrix.trials;
     config.seed = matrix.seed;
-    if (env.field != nullptr) {
-        view.emplace(*env.field, env.position);
+    if (run.env->field != nullptr) {
+        view.emplace(*run.env->field, run.env->position);
         config.harvester = &*view;
     }
 
     const sched::AggregateResult agg =
-        sched::runTrialsWith(app, *policy, config);
+        sched::runTrialsWith(run.app, *run.instance, config);
 
     BakeoffCell cell;
-    cell.policy = policy_name;
-    cell.buffer = buffer.name;
-    cell.load = load.name;
-    cell.environment = env.name;
+    cell.policy = *run.policy;
+    cell.buffer = run.buffer->name;
+    cell.load = run.load->name;
+    cell.environment = run.env->name;
     for (std::size_t i = 0; i < agg.arrivals.size(); ++i) {
         cell.arrived += agg.arrivals[i];
         cell.captured += std::uint64_t(std::llround(
@@ -147,7 +156,7 @@ runCell(const BakeoffMatrix &matrix, const std::string &policy_name,
     cell.completion_rate = agg.taskCompletionRate();
 
     const double joules =
-        meanHarvestWatts(app, config.harvester, matrix.duration) *
+        meanHarvestWatts(run.app, config.harvester, matrix.duration) *
         matrix.duration.value() * double(matrix.trials);
     cell.captures_per_joule =
         joules <= 0.0 ? 0.0 : double(cell.captured) / joules;
@@ -236,22 +245,78 @@ runBakeoff(const BakeoffMatrix &matrix)
     validate(matrix);
 
     // Cell i is the mixed-radix index policy × buffer × load × env
-    // (environment fastest), the nesting order of a serial loop. Cells
-    // run on the shared pool, each into its own slot; a cell's inner
-    // trial sweep is a nested region and runs inline on the worker that
-    // owns the cell. With the stable, totally keyed sort below, the
-    // scorecard is byte-identical at any pool size.
+    // (environment fastest), the nesting order of a serial loop.
     const std::size_t per_load = matrix.environments.size();
     const std::size_t per_buffer = matrix.loads.size() * per_load;
     const std::size_t per_policy = matrix.buffers.size() * per_buffer;
+    std::vector<CellRun> runs(matrix.policies.size() * per_policy);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        CellRun &run = runs[i];
+        run.policy = &matrix.policies[i / per_policy];
+        run.buffer = &matrix.buffers[i % per_policy / per_buffer];
+        run.load = &matrix.loads[i % per_buffer / per_load];
+        run.env = &matrix.environments[i % per_load];
+        run.app = cellApp(*run.load, *run.buffer, *run.env);
+    }
+
+    // Cells of one (policy, buffer, load) block that differ only in an
+    // environment leaving the same harvest run the same app: cellApp
+    // changes nothing else, and a field scenario keeps the unscaled
+    // constant harvest. Each such group is initialized once, the
+    // lowest-indexed cell as its leader.
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t block = 0; block < runs.size(); block += per_load) {
+        const std::size_t first = groups.size();
+        for (std::size_t i = block; i < block + per_load; ++i) {
+            const auto same = std::find_if(
+                groups.begin() + std::ptrdiff_t(first), groups.end(),
+                [&](const std::vector<std::size_t> &group) {
+                    return runs[group.front()].app.harvest ==
+                           runs[i].app.harvest;
+                });
+            if (same == groups.end())
+                groups.push_back({i});
+            else
+                same->push_back(i);
+        }
+    }
+
+    // Phase 1, one job per group: the leader's fresh instance is
+    // initialized and every follower gets a clone of it. A follower
+    // whose policy cannot clone is initialized fresh in phase 2; an
+    // initialization failure is stored for every cell of the group.
+    util::parallelFor(groups.size(), [&](std::size_t g) {
+        const std::vector<std::size_t> &group = groups[g];
+        CellRun &leader = runs[group.front()];
+        try {
+            leader.instance = sched::makePolicy(*leader.policy);
+            leader.instance->initialize(leader.app);
+            for (std::size_t k = 1; k < group.size(); ++k)
+                runs[group[k]].instance = leader.instance->clone();
+        } catch (...) {
+            for (std::size_t i : group)
+                runs[i].error = std::current_exception();
+        }
+    });
+
+    // Phase 2, one job per cell, each into its own slot; a cell's inner
+    // trial sweep is a nested region and runs inline on its worker. A
+    // stored initialization error is rethrown by its cell, so the pool
+    // reports the lowest-indexed failing cell whichever phase it failed
+    // in. With the stable, totally keyed sort below, the scorecard is
+    // byte-identical at any pool size.
     BakeoffResult result;
-    result.cells.resize(matrix.policies.size() * per_policy);
-    util::parallelFor(result.cells.size(), [&](std::size_t i) {
-        result.cells[i] =
-            runCell(matrix, matrix.policies[i / per_policy],
-                    matrix.buffers[i % per_policy / per_buffer],
-                    matrix.loads[i % per_buffer / per_load],
-                    matrix.environments[i % per_load]);
+    result.cells.resize(runs.size());
+    util::parallelFor(runs.size(), [&](std::size_t i) {
+        CellRun &run = runs[i];
+        if (run.error)
+            std::rethrow_exception(run.error);
+        if (run.instance == nullptr) {
+            run.instance = sched::makePolicy(*run.policy);
+            run.instance->initialize(run.app);
+        }
+        result.cells[i] = runCell(matrix, run);
+        run.instance.reset();
     });
 
     std::stable_sort(

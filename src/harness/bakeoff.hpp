@@ -11,7 +11,9 @@
  * user-registered policy joins the matrix without code changes here.
  * Each cell is one sched::runTrialsWith sweep on sim::Device;
  * online-adapting policies carry their learned state across a cell's
- * trials. Cells run in parallel on the shared pool; each cell's inner
+ * trials. Cells whose apps are identical share one policy
+ * initialization through sched::Policy::clone(). Initializations and
+ * then cells run in parallel on the shared pool; each cell's inner
  * trial sweep is a nested region and runs inline on its worker, so the
  * pool never oversubscribes and the scorecard is byte-identical at any
  * pool size.

@@ -79,9 +79,7 @@ EnergyAdaptiveBufferPolicy::initialize(const AppSpec &app)
         configs_.push_back(bank_->capacitorFor(k));
         AppSpec scaled = app;
         scaled.power = bank_->powerSystemFor(k, app.power);
-        auto policy = std::make_unique<CulpeoPolicy>();
-        policy->initialize(scaled);
-        policies_.push_back(std::move(policy));
+        policies_.emplace_back().initialize(scaled);
     }
 
     // Feasibility floor: never shrink below the smallest configuration
@@ -92,7 +90,7 @@ EnergyAdaptiveBufferPolicy::initialize(const AppSpec &app)
     for (unsigned k = 1; k <= kTotalBanks; ++k) {
         Volts worst{0.0};
         for (const auto &event : app.events)
-            worst = std::max(worst, policies_[k - 1]->admitChain(event).need);
+            worst = std::max(worst, policies_[k - 1].admitChain(event).need);
         if (worst <= vhigh_ - kFeasibilitySlack) {
             floor_banks_ = k;
             break;
@@ -118,7 +116,7 @@ EnergyAdaptiveBufferPolicy::policyFor(unsigned banks) const
     requireInitialized();
     log::fatalIf(banks == 0 || banks > policies_.size(),
                  "bank count must be in 1..", policies_.size());
-    return *policies_[banks - 1];
+    return policies_[banks - 1];
 }
 
 unsigned

@@ -59,6 +59,10 @@ class EnergyAdaptiveBufferPolicy : public Policy
 
     const char *name() const override { return "eab"; }
     void initialize(const AppSpec &app) override;
+    std::unique_ptr<Policy> clone() const override
+    {
+        return std::make_unique<EnergyAdaptiveBufferPolicy>(*this);
+    }
     Admission admitTask(const SchedTask &task) const override;
     Admission admitChain(const EventSpec &event) const override;
     Admission admitBackground(const AppSpec &app) const override;
@@ -86,7 +90,7 @@ class EnergyAdaptiveBufferPolicy : public Policy
 
     std::optional<sim::BankArray> bank_;
     std::vector<sim::CapacitorConfig> configs_;  ///< Index k-1: k banks.
-    std::vector<std::unique_ptr<CulpeoPolicy>> policies_; ///< Same index.
+    std::vector<CulpeoPolicy> policies_; ///< Same index.
     unsigned floor_banks_ = 1;
     unsigned target_banks_ = 1;
     /**
@@ -116,6 +120,10 @@ class AdaptiveWorkloadPolicy : public Policy
 
     const char *name() const override { return "adaptive"; }
     void initialize(const AppSpec &app) override;
+    std::unique_ptr<Policy> clone() const override
+    {
+        return std::make_unique<AdaptiveWorkloadPolicy>(*this);
+    }
     Admission admitTask(const SchedTask &task) const override;
     Admission admitChain(const EventSpec &event) const override;
     Admission admitBackground(const AppSpec &app) const override;
