@@ -208,7 +208,11 @@ TraceData recordField(const HarvestField &field, Position pos,
                       Seconds duration, Hertz rate,
                       const TraceRecordOptions &options = {});
 
-/** CRC-32 (IEEE 802.3, reflected) of @p size bytes at @p data. */
+/**
+ * CRC-32 (IEEE 802.3, reflected) of @p size bytes at @p data, chained
+ * from @p seed (the CRC of the bytes before them): the system zlib's
+ * crc32_z.
+ */
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t seed = 0);
 

@@ -167,7 +167,10 @@ class Registry
      */
     void merge(const Registry &other);
 
-    /** One `metric,type,value` CSV row per counter/gauge, name-sorted. */
+    /**
+     * One `metric,type,value` CSV row per counter/gauge, name-sorted;
+     * gauges print at "%.17g", so each parses back to the same double.
+     */
     void writeCsv(std::ostream &out) const;
 
   private:

@@ -127,7 +127,11 @@ class TraceLog
 
     /**
      * One JSON object per line, oldest first. The export holds the
-     * log's lock throughout and writes to @p out in bounded chunks.
+     * log's lock throughout. It formats fixed-size slices of events
+     * (at most 64 KiB of text each) on the shared pool, in waves of at
+     * most 2 x threads slices, and writes each wave to @p out in slice
+     * order, so the bytes do not depend on the pool size and the text
+     * held at once stays bounded.
      */
     void writeJsonl(std::ostream &out) const;
 

@@ -210,7 +210,7 @@ const Fixture kFixtures[] = {
 };
 
 /**
- * The bytewise CRC-32 the slicing-by-8 implementation must reproduce:
+ * The bytewise CRC-32 env::crc32 must reproduce:
  * one table lookup per byte, same reflected polynomial, seed handling
  * and final XOR.
  */

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -156,6 +160,38 @@ TEST(Registry, SnapshotsAreNameSorted)
     ASSERT_EQ(counters.size(), 2u);
     EXPECT_EQ(counters[0].first, "alpha");
     EXPECT_EQ(counters[1].first, "zeta");
+}
+
+TEST(Registry, CsvGaugesParseBackBitExactly)
+{
+    // Values a 6-digit print would round: every gauge row must parse
+    // back to the double that was recorded, and counters stay integers.
+    const double values[] = {0.1 + 0.2, 1.0 / 3.0, 2.718281828459045,
+                             1e-300 / 7.0, -123456.78901234567, 0.0};
+    Registry reg;
+    for (std::size_t i = 0; i < std::size(values); ++i)
+        reg.gauge("g" + std::to_string(i)).record(values[i]);
+    reg.counter("events").add(1234567);
+    std::ostringstream out;
+    reg.writeCsv(out);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "metric,type,value");
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "events,counter,1234567");
+    std::size_t gauges = 0;
+    while (std::getline(lines, line)) {
+        const std::string prefix = "g" + std::to_string(gauges) + ",gauge,";
+        ASSERT_EQ(line.compare(0, prefix.size(), prefix), 0) << line;
+        const double parsed =
+            std::strtod(line.c_str() + prefix.size(), nullptr);
+        EXPECT_EQ(std::memcmp(&parsed, &values[gauges], sizeof parsed), 0)
+            << line;
+        ++gauges;
+    }
+    EXPECT_EQ(gauges, std::size(values));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "telemetry/trace_log.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -205,6 +206,55 @@ TEST(TraceLog, ExportUnderConcurrentRecordsIsAnOrderedPrefix)
         }
     }
     recorder.join();
+}
+
+TEST(TraceLog, PooledExportMatchesInlineExport)
+{
+    // More slices than one wave holds (2 x threads slices of at most
+    // 64 KiB, each line counted at no less than 160 bytes), in a
+    // wrapped ring, under a label that needs escaping: formatting the
+    // slices on the pool must write the same bytes as formatting them
+    // inline, inside a pool item.
+    const std::size_t threads = util::ThreadPool::shared().threadCount();
+    const std::size_t capacity = (2 * threads + 1) * (64 << 10) / 160 + 1;
+    TraceLog log(capacity);
+    const std::uint32_t quoted = log.intern("say \"hi\"\t\\ bye");
+    const std::uint32_t plain = log.intern("imu");
+    const std::size_t recorded = capacity + capacity / 3;
+    for (std::size_t i = 0; i < recorded; ++i) {
+        TraceEvent event =
+            at(double(i) * 0.001, EventKind(i % 13), i % 3 ? quoted : plain);
+        event.trial = std::uint32_t(i / 1000);
+        event.voltage_v = 2.0F + float(i % 97) * 0.01F;
+        event.value = float(i) * 1e-3F;
+        event.flag = i % 2 == 0;
+        log.record(event);
+    }
+    ASSERT_GT(log.dropped(), 0u);
+
+    std::ostringstream pooled;
+    log.writeJsonl(pooled);
+    std::ostringstream serial;
+    util::parallelFor(1, [&](std::size_t) { log.writeJsonl(serial); });
+    EXPECT_EQ(pooled.str(), serial.str());
+
+    std::istringstream lines(pooled.str());
+    std::string line;
+    std::size_t count = 0;
+    while (std::getline(lines, line))
+        ++count;
+    EXPECT_EQ(count, capacity);
+    // Oldest retained event first.
+    char oldest[telemetry::kMaxNumberChars];
+    const std::string head =
+        "{\"t\":" +
+        std::string(oldest,
+                    telemetry::formatNumber(
+                        oldest, double(recorded - capacity) * 0.001)) +
+        ",";
+    EXPECT_EQ(pooled.str().compare(0, head.size(), head), 0);
+    EXPECT_NE(pooled.str().find("\"name\":\"say \\\"hi\\\"\\u0009\\\\ bye\""),
+              std::string::npos);
 }
 
 std::string
