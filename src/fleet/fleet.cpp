@@ -1,15 +1,11 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <ostream>
 #include <utility>
 
 #include "sched/engine.hpp"
 #include "telemetry/telemetry.hpp"
-#include "telemetry/trace_log.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -29,14 +25,17 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Shortest round-trippable decimal for deterministic report output. */
-std::string
-num(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+/** Report schemas: per-device CSV rows, then the JSONL records. */
+constexpr util::Cell kDeviceColumns[] = {
+    "index", "cohort", "x", "y", "cap_scale", "esr_scale", "arrived",
+    "captured", "capture_rate", "power_failures", "background_runs"};
+constexpr util::Cell kSummaryColumns[] = {"devices", "capture_rate",
+                                          "power_failures"};
+constexpr util::Cell kCohortColumns[] = {
+    "name", "devices", "arrived", "captured", "capture_rate",
+    "power_failures", "background_runs"};
+constexpr util::Cell kHistogramColumns[] = {
+    "name", "lo", "hi", "count", "min", "max", "mean", "bins"};
 
 void
 validate(const FleetSpec &spec)
@@ -167,66 +166,36 @@ SummaryReport::totalPowerFailures() const
 void
 SummaryReport::writeCsv(std::ostream &out) const
 {
-    out << "index,cohort,x,y,cap_scale,esr_scale,arrived,captured,"
-           "capture_rate,power_failures,background_runs\n";
+    util::writeCsvRow(out, kDeviceColumns);
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const DeviceResult &d = devices[i];
-        out << i << ',' << util::csvEscape(cohorts[d.cohort].name) << ','
-            << num(d.pos.x) << ',' << num(d.pos.y) << ','
-            << num(d.cap_scale) << ',' << num(d.esr_scale) << ','
-            << d.arrived << ',' << d.captured << ','
-            << num(d.captureRate()) << ',' << d.power_failures << ','
-            << d.background_runs << '\n';
+        const util::Cell row[std::size(kDeviceColumns)] = {
+            i, cohorts[d.cohort].name, d.pos.x, d.pos.y, d.cap_scale,
+            d.esr_scale, d.arrived, d.captured, d.captureRate(),
+            d.power_failures, d.background_runs};
+        util::writeCsvRow(out, row);
     }
 }
 
 void
 SummaryReport::writeJsonl(std::ostream &out) const
 {
-    out << "{\"type\":\"fleet_summary\",\"devices\":" << devices.size()
-        << ",\"capture_rate\":" << num(overallCaptureRate())
-        << ",\"power_failures\":" << totalPowerFailures() << "}\n";
+    const util::Cell summary[] = {devices.size(), overallCaptureRate(),
+                                  totalPowerFailures()};
+    util::writeJsonl(out, "fleet_summary", kSummaryColumns, summary);
     for (const CohortSummary &c : cohorts) {
-        out << "{\"type\":\"cohort\",\"name\":\""
-            << telemetry::escapeJson(c.name)
-            << "\",\"devices\":" << c.devices
-            << ",\"arrived\":" << c.arrived
-            << ",\"captured\":" << c.captured
-            << ",\"capture_rate\":" << num(c.captureRate())
-            << ",\"power_failures\":" << c.power_failures
-            << ",\"background_runs\":" << c.background_runs << "}\n";
+        const util::Cell row[] = {c.name, c.devices, c.arrived,
+                                  c.captured, c.captureRate(),
+                                  c.power_failures, c.background_runs};
+        util::writeJsonl(out, "cohort", kCohortColumns, row);
     }
     const auto histogram = [&](const char *name, const Histo &h) {
-        out << "{\"type\":\"histogram\",\"name\":\"" << name
-            << "\",\"lo\":" << num(h.lo) << ",\"hi\":" << num(h.hi)
-            << ",\"count\":" << h.count << ",\"min\":" << num(h.min)
-            << ",\"max\":" << num(h.max) << ",\"mean\":" << num(h.mean())
-            << ",\"bins\":[";
-        for (std::size_t i = 0; i < h.bins.size(); ++i)
-            out << (i == 0 ? "" : ",") << h.bins[i];
-        out << "]}\n";
+        const util::Cell row[] = {name, h.lo, h.hi, h.count,
+                                  h.min, h.max, h.mean(), h.bins};
+        util::writeJsonl(out, "histogram", kHistogramColumns, row);
     };
     histogram("capture_rate", capture_rate);
     histogram("power_failures", power_failures);
-}
-
-void
-SummaryReport::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    log::fatalIf(!out, "cannot open fleet CSV output file: ", path);
-    writeCsv(out);
-    log::fatalIf(!out.good(), "failed while writing fleet CSV: ", path);
-}
-
-void
-SummaryReport::writeJsonlFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    log::fatalIf(!out, "cannot open fleet JSONL output file: ", path);
-    writeJsonl(out);
-    log::fatalIf(!out.good(),
-                 "failed while writing fleet JSONL: ", path);
 }
 
 SummaryReport

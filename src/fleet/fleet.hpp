@@ -152,10 +152,9 @@ struct DeviceResult
 };
 
 /**
- * Plain fixed-bin histogram for population summaries. (Deliberately
- * not telemetry::Histogram: that type is atomic for concurrent
- * emission and therefore unmovable; report aggregation is
- * single-threaded and wants value semantics.)
+ * Plain fixed-bin histogram for population summaries; out-of-range
+ * samples clamp into the edge bins. DESIGN.md §16.3 says why it is not
+ * telemetry::Histogram.
  */
 struct Histo
 {
@@ -204,10 +203,8 @@ struct SummaryReport
 
     /** Per-device rows (index, cohort, position, scales, outcomes). */
     void writeCsv(std::ostream &out) const;
-    void writeCsvFile(const std::string &path) const;
     /** Summary, cohort, and histogram records, one JSON object per line. */
     void writeJsonl(std::ostream &out) const;
-    void writeJsonlFile(const std::string &path) const;
 };
 
 /**

@@ -1,18 +1,15 @@
 #include "harness/bakeoff.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdio>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <tuple>
 
 #include "sched/engine.hpp"
 #include "sched/policy.hpp"
-#include "telemetry/trace_log.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -23,13 +20,21 @@ namespace {
 
 using units::Watts;
 
-/** Shortest round-trippable decimal for deterministic report output. */
-std::string
-num(double v)
+/** The scorecard's columns: the CSV header and the JSONL cell fields. */
+constexpr util::Cell kCellColumns[] = {
+    "rank", "policy", "buffer", "load", "environment", "arrived",
+    "captured", "capture_rate", "power_failures_per_trial",
+    "mean_latency_s", "completion_rate", "captures_per_joule"};
+constexpr util::Cell kMatrixColumns[] = {"cells"};
+
+/** One ranked cell in kCellColumns order. */
+std::array<util::Cell, std::size(kCellColumns)>
+cellRow(const BakeoffCell &c)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return {c.rank, c.policy, c.buffer, c.load, c.environment,
+            c.arrived, c.captured, c.capture_rate,
+            c.power_failures_per_trial, c.mean_latency_s,
+            c.completion_rate, c.captures_per_joule};
 }
 
 void
@@ -182,61 +187,18 @@ BakeoffResult::meanCaptureRate(const std::string &policy) const
 void
 BakeoffResult::writeCsv(std::ostream &out) const
 {
-    out << "rank,policy,buffer,load,environment,arrived,captured,"
-           "capture_rate,power_failures_per_trial,mean_latency_s,"
-           "completion_rate,captures_per_joule\n";
-    for (const BakeoffCell &c : cells) {
-        out << c.rank << ',' << util::csvEscape(c.policy) << ','
-            << util::csvEscape(c.buffer) << ',' << util::csvEscape(c.load)
-            << ',' << util::csvEscape(c.environment) << ',' << c.arrived
-            << ',' << c.captured << ',' << num(c.capture_rate) << ','
-            << num(c.power_failures_per_trial) << ','
-            << num(c.mean_latency_s) << ',' << num(c.completion_rate)
-            << ',' << num(c.captures_per_joule) << '\n';
-    }
+    util::writeCsvRow(out, kCellColumns);
+    for (const BakeoffCell &c : cells)
+        util::writeCsvRow(out, cellRow(c));
 }
 
 void
 BakeoffResult::writeJsonl(std::ostream &out) const
 {
-    out << "{\"type\":\"bakeoff\",\"cells\":" << cells.size() << "}\n";
-    for (const BakeoffCell &c : cells) {
-        out << "{\"type\":\"cell\",\"rank\":" << c.rank
-            << ",\"policy\":\"" << telemetry::escapeJson(c.policy)
-            << "\",\"buffer\":\"" << telemetry::escapeJson(c.buffer)
-            << "\",\"load\":\"" << telemetry::escapeJson(c.load)
-            << "\",\"environment\":\""
-            << telemetry::escapeJson(c.environment)
-            << "\",\"arrived\":" << c.arrived
-            << ",\"captured\":" << c.captured
-            << ",\"capture_rate\":" << num(c.capture_rate)
-            << ",\"power_failures_per_trial\":"
-            << num(c.power_failures_per_trial)
-            << ",\"mean_latency_s\":" << num(c.mean_latency_s)
-            << ",\"completion_rate\":" << num(c.completion_rate)
-            << ",\"captures_per_joule\":" << num(c.captures_per_joule)
-            << "}\n";
-    }
-}
-
-void
-BakeoffResult::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    log::fatalIf(!out, "cannot open bake-off CSV output file: ", path);
-    writeCsv(out);
-    log::fatalIf(!out.good(),
-                 "failed while writing bake-off CSV: ", path);
-}
-
-void
-BakeoffResult::writeJsonlFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    log::fatalIf(!out, "cannot open bake-off JSONL output file: ", path);
-    writeJsonl(out);
-    log::fatalIf(!out.good(),
-                 "failed while writing bake-off JSONL: ", path);
+    const util::Cell matrix[] = {cells.size()};
+    util::writeJsonl(out, "bakeoff", kMatrixColumns, matrix);
+    for (const BakeoffCell &c : cells)
+        util::writeJsonl(out, "cell", kCellColumns, cellRow(c));
 }
 
 BakeoffResult

@@ -120,10 +120,8 @@ struct BakeoffResult
 
     /** Ranked rows; columns match the JSONL cell fields. */
     void writeCsv(std::ostream &out) const;
-    void writeCsvFile(const std::string &path) const;
     /** A matrix header record, then one JSON object per ranked cell. */
     void writeJsonl(std::ostream &out) const;
-    void writeJsonlFile(const std::string &path) const;
 };
 
 /** Run every cell of @p matrix and rank. Fatal on an empty dimension. */

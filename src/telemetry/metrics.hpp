@@ -169,7 +169,7 @@ class Registry
 
     /**
      * One `metric,type,value` CSV row per counter/gauge, name-sorted;
-     * gauges print at "%.17g", so each parses back to the same double.
+     * names escaped, gauges at 17 digits (each parses back exactly).
      */
     void writeCsv(std::ostream &out) const;
 

@@ -147,12 +147,6 @@ class Telemetry
     /** Write the JSONL trace to @p path; false on I/O failure. */
     bool writeJsonlFile(const std::string &path) const;
 
-    /** Counters and gauges as CSV rows. */
-    void writeMetricsCsv(std::ostream &out) const
-    {
-        registry_.writeCsv(out);
-    }
-
   private:
     TelemetryConfig config_;
     Registry registry_;

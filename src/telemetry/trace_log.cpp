@@ -1,9 +1,8 @@
 #include "trace_log.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
@@ -21,12 +20,8 @@ constexpr std::size_t kSliceBytes = std::size_t(64) << 10;
  */
 constexpr std::size_t kMaxLineBytes = 160;
 
-void
-appendNumber(std::string &text, double v)
-{
-    char buf[kMaxNumberChars];
-    text.append(buf, formatNumber(buf, v));
-}
+/** Trace numbers print as "%.9g": the trace goldens pin nine digits. */
+constexpr int kTraceDigits = 9;
 
 /** Append @p event's JSONL line; @p names are the escaped labels. */
 void
@@ -34,12 +29,9 @@ appendEvent(std::string &text, const TraceEvent &event,
             const std::vector<std::string> &names)
 {
     text.append("{\"t\":");
-    appendNumber(text, event.time_s);
+    util::appendNumber(text, event.time_s, kTraceDigits);
     text.append(",\"trial\":");
-    char digits[16];
-    text.append(digits, std::to_chars(digits, digits + sizeof digits,
-                                      event.trial)
-                            .ptr);
+    util::Cell(event.trial).append(text, util::Format::Jsonl);
     text.append(",\"kind\":\"");
     text.append(eventKindName(event.kind));
     text.push_back('"');
@@ -50,45 +42,13 @@ appendEvent(std::string &text, const TraceEvent &event,
         text.push_back('"');
     }
     text.append(",\"v\":");
-    appendNumber(text, double(event.voltage_v));
+    util::appendNumber(text, double(event.voltage_v), kTraceDigits);
     text.append(",\"value\":");
-    appendNumber(text, double(event.value));
+    util::appendNumber(text, double(event.value), kTraceDigits);
     text.append(event.flag ? ",\"flag\":true}\n" : ",\"flag\":false}\n");
 }
 
 } // namespace
-
-char *
-formatNumber(char *out, double v)
-{
-    // The standard defines to_chars(general, precision) as printf's
-    // "%.*g" in the C locale, so this is "%.9g" without the locale
-    // lookup and format parsing.
-    return std::to_chars(out, out + kMaxNumberChars, v,
-                         std::chars_format::general, 9)
-        .ptr;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char hex[7];
-            std::snprintf(hex, sizeof(hex), "\\u%04x",
-                          static_cast<unsigned char>(c));
-            out.append(hex);
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
 
 const char *
 eventKindName(EventKind kind)
@@ -259,7 +219,7 @@ TraceLog::writeJsonl(std::ostream &out) const
     names.reserve(labels_.size());
     std::size_t longest = 0;
     for (const std::string &label : labels_) {
-        names.push_back(escapeJson(label));
+        names.push_back(util::escapeJson(label));
         longest = std::max(longest, names.back().size());
     }
     // Fixed-size event slices of at most kSliceBytes of text, formatted

@@ -12,9 +12,10 @@
  *
  * The exporter writes JSONL (one event object per line — the
  * CULPEO_TRACE_OUT format consumed by the fig12 bench and the fuzz
- * harness). Output is oldest-to-newest and formatted with fixed
- * precision, so identical event sequences serialize identically (golden
- * snapshot tests rely on this).
+ * harness). Output is oldest-to-newest, with labels escaped and numbers
+ * formatted by util/csv.hpp at a fixed nine significant digits, so
+ * identical event sequences serialize identically (golden snapshot
+ * tests rely on this).
  */
 
 #ifndef CULPEO_TELEMETRY_TRACE_LOG_HPP
@@ -57,22 +58,6 @@ enum class EventKind : std::uint8_t {
 
 /** Stable lowercase-snake name for @p kind (serialization). */
 const char *eventKindName(EventKind kind);
-
-/** Buffer size formatNumber() needs ("-1.23456789e-308" is 16 chars). */
-inline constexpr std::size_t kMaxNumberChars = 32;
-
-/**
- * Write @p v into @p out (kMaxNumberChars bytes) exactly as printf's
- * "%.9g" does in the C locale: nine significant digits, stable for
- * goldens. Returns one past the last character written.
- */
-char *formatNumber(char *out, double v);
-
-/**
- * @p s as the body of a JSON string literal: quote and backslash get a
- * backslash, other control characters become \u00XX.
- */
-std::string escapeJson(const std::string &s);
 
 /** One trace point. Plain data; 32 bytes. */
 struct TraceEvent {

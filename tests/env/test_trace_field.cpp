@@ -225,7 +225,7 @@ TEST(TraceFieldFleet, PoolSizeInvariantUnderTraceField)
         out << "--\n";
         sink.writeJsonl(out);
         out << "--\n";
-        sink.writeMetricsCsv(out);
+        sink.registry().writeCsv(out);
         EXPECT_GT(report.overallCaptureRate(), 0.0);
         return out.str();
     };

@@ -4,15 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "telemetry/trace_log.hpp"
+#include "util/csv.hpp"
 #include "util/parallel.hpp"
-#include "util/random.hpp"
 
 namespace {
 
@@ -245,70 +243,12 @@ TEST(TraceLog, PooledExportMatchesInlineExport)
         ++count;
     EXPECT_EQ(count, capacity);
     // Oldest retained event first.
-    char oldest[telemetry::kMaxNumberChars];
-    const std::string head =
-        "{\"t\":" +
-        std::string(oldest,
-                    telemetry::formatNumber(
-                        oldest, double(recorded - capacity) * 0.001)) +
-        ",";
+    std::string head = "{\"t\":";
+    util::appendNumber(head, double(recorded - capacity) * 0.001, 9);
+    head += ",";
     EXPECT_EQ(pooled.str().compare(0, head.size(), head), 0);
     EXPECT_NE(pooled.str().find("\"name\":\"say \\\"hi\\\"\\u0009\\\\ bye\""),
               std::string::npos);
-}
-
-std::string
-printf9g(double v)
-{
-    char text[64];
-    std::snprintf(text, sizeof text, "%.9g", v);
-    return text;
-}
-
-std::string
-formatted(double v)
-{
-    char text[telemetry::kMaxNumberChars];
-    return std::string(text, telemetry::formatNumber(text, v));
-}
-
-TEST(TraceLog, NumberFormatMatchesPrintf9g)
-{
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double edges[] = {
-        0.0, -0.0, 1.0, -1.0, 0.1, 1.5, 2.25, 1e-4, 1e-5, 9.9999e-5,
-        123456789.0, 1234567890.0, 999999999.5, 9.999999995, 0.5e-300,
-        1e21, 1e22, -3.0e-7, double(0.1F), double(2.2F),
-        std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::denorm_min(),
-        -std::numeric_limits<double>::denorm_min(),
-        std::numeric_limits<double>::max(),
-        std::numeric_limits<double>::lowest(),
-        double(std::numeric_limits<float>::min()),
-        double(std::numeric_limits<float>::denorm_min()),
-        double(std::numeric_limits<float>::max()),
-        kInf, -kInf, nan, -nan,
-    };
-    for (const double v : edges)
-        EXPECT_EQ(formatted(v), printf9g(v)) << printf9g(v);
-
-    // Seeded sweep: raw double and float bit patterns (every exponent,
-    // subnormals and NaN payloads included) and simulation-scale
-    // values like the ones telemetry records.
-    util::Rng rng(20261017);
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t bits = rng.next();
-        double as_double = 0.0;
-        std::memcpy(&as_double, &bits, sizeof as_double);
-        const auto bits32 = std::uint32_t(bits >> 32);
-        float as_float = 0.0F;
-        std::memcpy(&as_float, &bits32, sizeof as_float);
-        const double scaled = rng.uniform(0.0, 600.0);
-        for (const double v :
-             {as_double, double(as_float), scaled, double(float(scaled))})
-            ASSERT_EQ(formatted(v), printf9g(v)) << printf9g(v);
-    }
 }
 
 TEST(TraceLog, EventKindNamesAreStable)
